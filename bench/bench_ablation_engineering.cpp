@@ -85,6 +85,5 @@ int main(int argc, char** argv) {
       "unguarded 1-MI-evaluation loop inflicts at this fabric scale.\n");
   TrendReport trend("ablation_engineering");
   trend.add("wall_seconds", wall.seconds(), "s");
-  write_trend(cli, trend);
-  return 0;
+  return write_trend(cli, trend) ? 0 : 2;
 }

@@ -11,14 +11,15 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <fstream>
 #include <map>
 #include <string>
 #include <thread>
 #include <utility>
 
+#include "common/artifact.hpp"
 #include "runner/experiment.hpp"
 #include "runner/report.hpp"
+#include "scenario/grid_runner.hpp"
 #include "scenario/scenario.hpp"
 #include "stats/percentile.hpp"
 
@@ -111,13 +112,13 @@ inline std::string scaling_note(const ExperimentConfig& cfg,
 /// cross-run aggregates, worker utilization) to FILE plus the merged
 /// Perfetto timeline to FILE with a `.timeline.json` suffix.
 ///
-/// Scenario-engine flags: `--legacy` makes a migrated bench (fig8/fig13)
-/// run its pre-scenario hand-wired setup instead of the committed
-/// scenarios/ file (one-PR escape hatch while the parity check beds in),
-/// `--grid-out FILE` writes the grid run's `paraleon.grid.v1` document,
-/// and `--grid-check` re-runs the grid serially and byte-compares the
-/// deterministic half against the parallel run (exit nonzero on any
-/// difference).
+/// Scenario-engine flags: `--grid-out FILE` writes the grid run's
+/// `paraleon.grid.v1` document, and `--grid-check` re-runs the grid
+/// serially and byte-compares the deterministic half against the parallel
+/// run (exit nonzero on any difference).
+///
+/// Every flag lives in one table (kObsFlags); parse_obs_cli, strip_obs_cli
+/// and obs_usage all read it.
 struct ObsCli {
   bool trace = false;
   bool tiny = false;
@@ -131,7 +132,6 @@ struct ObsCli {
   int sweep = 0;         // 0 = no sweep mode requested
   std::string sweep_out; // empty = print only, no JSON artifact
   std::string fleet_out; // empty = no fleet report artifact
-  bool legacy = false;   // migrated benches: run the pre-scenario setup
   std::string grid_out;  // empty = no paraleon.grid.v1 artifact
   bool grid_check = false;  // re-run serially, byte-compare det half
 };
@@ -160,78 +160,93 @@ inline std::string scenario_path(const std::string& file) {
 #endif
 }
 
+/// One ObsCli flag: its spelling, the value placeholder for flags that
+/// take one (nullptr for switches), and how it lands in the ObsCli.
+struct ObsFlag {
+  const char* name;
+  const char* metavar;
+  void (*set)(ObsCli& cli, const char* value);
+};
+
+inline constexpr ObsFlag kObsFlags[] = {
+    {"--tiny", nullptr, [](ObsCli& c, const char*) { c.tiny = true; }},
+    {"--jobs", "N", [](ObsCli& c, const char* v) { c.jobs = std::atoi(v); }},
+    {"--obs-out", "DIR", [](ObsCli& c, const char* v) { c.out_dir = v; }},
+    {"--trace", nullptr, [](ObsCli& c, const char*) { c.trace = true; }},
+    {"--flight", nullptr, [](ObsCli& c, const char*) { c.flight = true; }},
+    {"--flight-fault", nullptr,
+     [](ObsCli& c, const char*) { c.flight = c.flight_fault = true; }},
+    {"--replay-flight", "BUNDLE_DIR",
+     [](ObsCli& c, const char* v) { c.replay_bundle = v; }},
+    {"--perf", nullptr, [](ObsCli& c, const char*) { c.perf = true; }},
+    {"--perf-out", "FILE",
+     [](ObsCli& c, const char* v) {
+       c.perf = true;
+       c.perf_out = v;
+     }},
+    {"--sweep", "N", [](ObsCli& c, const char* v) { c.sweep = std::atoi(v); }},
+    {"--sweep-out", "FILE", [](ObsCli& c, const char* v) { c.sweep_out = v; }},
+    {"--fleet-out", "FILE", [](ObsCli& c, const char* v) { c.fleet_out = v; }},
+    {"--grid-out", "FILE", [](ObsCli& c, const char* v) { c.grid_out = v; }},
+    {"--grid-check", nullptr,
+     [](ObsCli& c, const char*) { c.grid_check = true; }},
+};
+
+/// The table entry for argv[i] when it is a complete ObsCli flag (a value
+/// flag needs its value after it), else nullptr.
+inline const ObsFlag* match_obs_flag(int argc, char** argv, int i) {
+  for (const ObsFlag& f : kObsFlags) {
+    if (std::strcmp(argv[i], f.name) != 0) continue;
+    return f.metavar == nullptr || i + 1 < argc ? &f : nullptr;
+  }
+  return nullptr;
+}
+
+/// Reads every ObsCli flag in argv; other arguments are left for the
+/// caller (see strip_obs_cli).
 inline ObsCli parse_obs_cli(int argc, char** argv) {
   ObsCli cli;
   for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--trace") == 0) {
-      cli.trace = true;
-    } else if (std::strcmp(argv[i], "--tiny") == 0) {
-      cli.tiny = true;
-    } else if (std::strcmp(argv[i], "--flight") == 0) {
-      cli.flight = true;
-    } else if (std::strcmp(argv[i], "--flight-fault") == 0) {
-      cli.flight = true;
-      cli.flight_fault = true;
-    } else if (std::strcmp(argv[i], "--replay-flight") == 0 && i + 1 < argc) {
-      cli.replay_bundle = argv[++i];
-    } else if (std::strcmp(argv[i], "--perf") == 0) {
-      cli.perf = true;
-    } else if (std::strcmp(argv[i], "--perf-out") == 0 && i + 1 < argc) {
-      cli.perf = true;
-      cli.perf_out = argv[++i];
-    } else if (std::strcmp(argv[i], "--obs-out") == 0 && i + 1 < argc) {
-      cli.out_dir = argv[++i];
-    } else if (std::strcmp(argv[i], "--jobs") == 0 && i + 1 < argc) {
-      cli.jobs = std::atoi(argv[++i]);
-    } else if (std::strcmp(argv[i], "--sweep") == 0 && i + 1 < argc) {
-      cli.sweep = std::atoi(argv[++i]);
-    } else if (std::strcmp(argv[i], "--sweep-out") == 0 && i + 1 < argc) {
-      cli.sweep_out = argv[++i];
-    } else if (std::strcmp(argv[i], "--fleet-out") == 0 && i + 1 < argc) {
-      cli.fleet_out = argv[++i];
-    } else if (std::strcmp(argv[i], "--legacy") == 0) {
-      cli.legacy = true;
-    } else if (std::strcmp(argv[i], "--grid-out") == 0 && i + 1 < argc) {
-      cli.grid_out = argv[++i];
-    } else if (std::strcmp(argv[i], "--grid-check") == 0) {
-      cli.grid_check = true;
-    }
+    const ObsFlag* f = match_obs_flag(argc, argv, i);
+    if (f == nullptr) continue;
+    f->set(cli, f->metavar != nullptr ? argv[++i] : nullptr);
   }
   return cli;
 }
 
 /// Removes the ObsCli flags from argv (in place) so they can coexist with
 /// another flag parser — google-benchmark aborts on flags it does not
-/// know. Returns the new argc.
+/// know. Returns the new argc; anything left past argv[0] is not an
+/// ObsCli flag (a value flag without its value stays too).
 inline int strip_obs_cli(int argc, char** argv) {
-  const auto takes_value = [](const char* a) {
-    return std::strcmp(a, "--obs-out") == 0 ||
-           std::strcmp(a, "--replay-flight") == 0 ||
-           std::strcmp(a, "--perf-out") == 0 ||
-           std::strcmp(a, "--jobs") == 0 || std::strcmp(a, "--sweep") == 0 ||
-           std::strcmp(a, "--sweep-out") == 0 ||
-           std::strcmp(a, "--fleet-out") == 0 ||
-           std::strcmp(a, "--grid-out") == 0;
-  };
-  const auto is_flag = [](const char* a) {
-    return std::strcmp(a, "--trace") == 0 || std::strcmp(a, "--tiny") == 0 ||
-           std::strcmp(a, "--flight") == 0 ||
-           std::strcmp(a, "--flight-fault") == 0 ||
-           std::strcmp(a, "--perf") == 0 ||
-           std::strcmp(a, "--legacy") == 0 ||
-           std::strcmp(a, "--grid-check") == 0;
-  };
   int out = 1;
   for (int i = 1; i < argc; ++i) {
-    if (is_flag(argv[i])) continue;
-    if (takes_value(argv[i])) {
-      if (i + 1 < argc) ++i;
-      continue;
+    const ObsFlag* f = match_obs_flag(argc, argv, i);
+    if (f == nullptr) {
+      argv[out++] = argv[i];
+    } else if (f->metavar != nullptr) {
+      ++i;
     }
-    argv[out++] = argv[i];
   }
   for (int i = out; i < argc; ++i) argv[i] = nullptr;
   return out;
+}
+
+/// Usage for a bench that takes only ObsCli flags, called with the argv
+/// strip_obs_cli left: names the first stray argument, lists the flag
+/// table, and returns exit code 2.
+inline int obs_usage(char** argv) {
+  std::fprintf(stderr, "%s: unknown argument '%s'\nusage: %s", argv[0],
+               argv[1], argv[0]);
+  for (const ObsFlag& f : kObsFlags) {
+    if (f.metavar != nullptr) {
+      std::fprintf(stderr, " [%s %s]", f.name, f.metavar);
+    } else {
+      std::fprintf(stderr, " [%s]", f.name);
+    }
+  }
+  std::fprintf(stderr, "\n");
+  return 2;
 }
 
 /// Applies the CLI to an experiment config: all trace categories on and
@@ -257,23 +272,32 @@ inline void apply_obs_cli(const ObsCli& cli, ExperimentConfig& cfg) {
   }
 }
 
+/// Writes one bench artifact through write_artifact and reports it:
+/// `# <what>: wrote <path>` on stdout, or an error naming the path on
+/// stderr. Returns false when the file was not written; the bench then
+/// exits 2.
+inline bool emit_artifact(const char* what, const std::string& path,
+                          const std::string& text) {
+  if (!write_artifact(path, text)) {
+    std::fprintf(stderr, "# %s: FAILED to write %s\n", what, path.c_str());
+    return false;
+  }
+  std::printf("# %s: wrote %s\n", what, path.c_str());
+  return true;
+}
+
 /// Writes `<name>.trace.json` (Chrome trace-event format, Perfetto-
 /// loadable) and `<name>.obs.json` (counter registry + episode timelines)
-/// for a finished run. No-op unless --trace was given.
-inline void dump_obs(const ObsCli& cli, const Experiment& exp,
+/// for a finished run. No-op unless --trace was given; false when a file
+/// was not written.
+inline bool dump_obs(const ObsCli& cli, const Experiment& exp,
                      const std::string& name) {
-  if (!cli.trace) return;
+  if (!cli.trace) return true;
   const std::string base = cli.out_dir + "/" + name;
-  {
-    std::ofstream f(base + ".trace.json");
-    f << exp.simulator().obs().trace().to_json();
-  }
-  {
-    std::ofstream f(base + ".obs.json");
-    f << runner::obs_report_json(exp);
-  }
-  std::printf("# obs: wrote %s.trace.json and %s.obs.json\n", base.c_str(),
-              base.c_str());
+  return emit_artifact("obs", base + ".trace.json",
+                       exp.simulator().obs().trace().to_json()) &&
+         emit_artifact("obs", base + ".obs.json",
+                       runner::obs_report_json(exp));
 }
 
 /// One `paraleon.bench.v1` document: the bench's headline metrics as
@@ -312,12 +336,6 @@ class TrendReport {
     return out;
   }
 
-  bool write(const std::string& path) const {
-    std::ofstream f(path);
-    f << to_json();
-    return static_cast<bool>(f);
-  }
-
  private:
   struct Metric {
     double value = 0;
@@ -349,15 +367,50 @@ inline void add_perf_metrics(TrendReport& r, const Experiment& exp) {
   r.add("events_per_sec", perf.events_per_sec(), "events/s");
 }
 
-/// Writes the bench-trend artifact when --perf-out was given.
-inline void write_trend(const ObsCli& cli, const TrendReport& report) {
-  if (cli.perf_out.empty()) return;
-  if (report.write(cli.perf_out)) {
-    std::printf("# perf: wrote %s\n", cli.perf_out.c_str());
-  } else {
-    std::fprintf(stderr, "# perf: FAILED to write %s\n",
-                 cli.perf_out.c_str());
+/// Writes the bench-trend artifact when --perf-out was given; false when
+/// it was requested and not written.
+inline bool write_trend(const ObsCli& cli, const TrendReport& report) {
+  return cli.perf_out.empty() ||
+         emit_artifact("perf", cli.perf_out, report.to_json());
+}
+
+/// Writes the --fleet-out report and its merged Perfetto timeline; false
+/// when either was not written.
+inline bool write_fleet(const ObsCli& cli, const runner::FleetReport& fleet) {
+  return emit_artifact("fleet", cli.fleet_out, fleet.to_json() + "\n") &&
+         emit_artifact("fleet", fleet_timeline_path(cli.fleet_out),
+                       fleet.timeline_json() + "\n");
+}
+
+/// The grid epilogue of every grid front door: writes the paraleon.grid.v1
+/// document to `grid_path` (skipped when empty) and, with --grid-check,
+/// re-runs the grid serially under the same on_config and byte-compares
+/// the deterministic half. Returns the exit code: 0, 1 on a grid-check
+/// mismatch, 2 on a failed write.
+inline int finish_grid(const ObsCli& cli, const scenario::Scenario& sc,
+                       const scenario::GridOptions& opts,
+                       const scenario::GridOutcome& grid,
+                       const std::string& grid_path) {
+  if (!grid_path.empty() &&
+      !emit_artifact("grid", grid_path, grid.to_json())) {
+    return 2;
   }
+  if (!cli.grid_check) return 0;
+  scenario::GridOptions serial = opts;
+  serial.jobs = 1;
+  serial.telemetry = nullptr;
+  serial.on_cell = nullptr;
+  if (scenario::run_grid(sc, serial).to_json(false) != grid.to_json(false)) {
+    std::fprintf(stderr,
+                 "grid-check: deterministic half differs between jobs=%d "
+                 "and jobs=1\n",
+                 cli.jobs);
+    return 1;
+  }
+  std::printf("# grid-check: deterministic half byte-identical at jobs=%d "
+              "and jobs=1\n",
+              cli.jobs);
+  return 0;
 }
 
 /// Wall-clock stopwatch for bench-level timing (bench TUs are outside the

@@ -81,6 +81,5 @@ int main(int argc, char** argv) {
       "at every load; FCT follows the same order with No_FSD worst.\n");
   TrendReport trend("fig10_monitoring");
   trend.add("wall_seconds", wall.seconds(), "s");
-  write_trend(cli, trend);
-  return 0;
+  return write_trend(cli, trend) ? 0 : 2;
 }

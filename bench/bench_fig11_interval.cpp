@@ -58,6 +58,5 @@ int main(int argc, char** argv) {
       "PARALEON FCT <= naive-sketch FCT throughout.\n");
   TrendReport trend("fig11_interval");
   trend.add("wall_seconds", wall.seconds(), "s");
-  write_trend(cli, trend);
-  return 0;
+  return write_trend(cli, trend) ? 0 : 2;
 }

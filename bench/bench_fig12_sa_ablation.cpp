@@ -141,6 +141,5 @@ int main(int argc, char** argv) {
       "this fabric scale (its utility landscape is flat — see\n"
       "EXPERIMENTS.md).\n");
   trend.add("wall_seconds", wall.seconds(), "s");
-  write_trend(g_cli, trend);
-  return 0;
+  return write_trend(g_cli, trend) ? 0 : 2;
 }

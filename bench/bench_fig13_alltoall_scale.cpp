@@ -8,20 +8,15 @@
 //
 // The scheme x scale grid comes from scenarios/fig13_alltoall.json: the
 // scenario engine's GridRunner expands the two sweep axes (scheme outer,
-// scale inner — the same cell order the hand-wired loops used) and fans
-// the cells through exec::parallel_map (`--jobs N`). The printed table is
-// identical at any worker count because results come back in cell order;
-// every run digest-checks one cell against the legacy hand-wired setup,
-// and `--legacy` runs the pre-scenario grid directly
-// (bench/legacy_setups.hpp).
+// scale inner) and fans the cells through exec::parallel_map
+// (`--jobs N`). The table's rows and columns are the grid's cells, in
+// cell order, so it is identical at any worker count. tests/
+// scenario_golden_test.cpp pins the 8-worker cells' --tiny run_digests.
 #include <cstdio>
-#include <utility>
+#include <string>
 #include <vector>
 
 #include "bench_common.hpp"
-#include "exec/parallel_map.hpp"
-#include "legacy_setups.hpp"
-#include "scenario/grid_runner.hpp"
 
 using namespace paraleon;
 using namespace paraleon::bench;
@@ -36,109 +31,68 @@ struct CellSlot {
   std::uint64_t events = 0;  // 0 unless --perf enabled the PerfMonitor
 };
 
-CellSlot legacy_cell(Scheme s, int workers) {
-  ExperimentConfig cfg = legacy_fig13_config(s, g_cli.tiny);
-  // Only the perf knob: trace/flight stay per-run flags for the benches
-  // that dump those artifacts (cells here run on pool threads).
-  if (g_cli.perf) cfg.obs.perf_counters = true;
-  Experiment exp(cfg);
-  legacy_fig13_workloads(exp, workers);
-  if (exp.controller() != nullptr) exp.controller()->force_trigger();
-  exp.run();
-  const Time tail_from = g_cli.tiny ? milliseconds(20) : milliseconds(100);
-  CellSlot r;
-  r.bw_gbps =
-      exp.throughput_series().mean_in(tail_from, exp.config().duration);
-  r.events = exp.simulator().obs().perf().events_executed();
-  return r;
+/// "Default", "Expert", "PARALEON": the row label and trend-name part.
+std::string cell_scheme(const scenario::GridCell& cell) {
+  return scheme_name(scenario::scheme_from_name(cell.scenario.scheme.name));
 }
 
-constexpr int kScales[] = {8, 16, 32};
-constexpr const char* kSchemes[] = {"default", "expert", "paraleon"};
+int cell_workers(const scenario::GridCell& cell) {
+  return cell.scenario.workload.front().workers;
+}
 
-void print_grid_header() {
+/// A cell opens a new table row when its scheme differs from the previous
+/// cell's (the scheme axis is the outer one).
+bool starts_row(const std::vector<scenario::GridCell>& cells, std::size_t i) {
+  return i == 0 || cells[i].scenario.scheme.name !=
+                       cells[i - 1].scenario.scheme.name;
+}
+
+void print_grid_header(const scenario::Scenario& sc,
+                       const std::vector<scenario::GridCell>& cells) {
   print_header("Fig. 13: alltoall bandwidth vs collective scale",
-               scaling_note(legacy_fig13_config(Scheme::kParaleon, g_cli.tiny),
+               scaling_note(scenario::to_experiment_config(sc),
                             "8..32 workers, 512KB flows (paper: 8..32 H100 "
                             "nodes @400G testbed)"));
   std::printf("%-10s", "scheme");
-  for (int n : kScales) std::printf("%8dx%-4d", n, n);
+  for (std::size_t i = 0; i < cells.size(); ++i) {
+    if (i > 0 && starts_row(cells, i)) break;  // one row's worth of columns
+    const int n = cell_workers(cells[i]);
+    std::printf("%8dx%-4d", n, n);
+  }
   std::printf("\n");
 }
 
 /// Prints the scheme x scale table from cell-ordered slots and fills the
 /// trend rows. Returns the total event count (0 unless --perf).
-std::uint64_t print_grid(const std::vector<CellSlot>& slots,
+std::uint64_t print_grid(const std::vector<scenario::GridCell>& cells,
+                         const std::vector<CellSlot>& slots,
                          TrendReport& trend) {
-  std::size_t cell = 0;
   std::uint64_t total_events = 0;
-  for (const char* s : kSchemes) {
-    std::printf("%-10s",
-                scheme_name(scenario::scheme_from_name(s)).c_str());
-    for (int scale : kScales) {
-      const CellSlot& r = slots[cell++];
-      std::printf("%10.2f  ", r.bw_gbps);
-      trend.add("bw_" + scheme_name(scenario::scheme_from_name(s)) + "_" +
-                    std::to_string(scale) + "_gbps",
-                r.bw_gbps, "Gbps");
-      total_events += r.events;
+  for (std::size_t i = 0; i < cells.size(); ++i) {
+    const std::string scheme = cell_scheme(cells[i]);
+    if (starts_row(cells, i)) {
+      std::printf("%s%-10s", i == 0 ? "" : "\n", scheme.c_str());
     }
-    std::printf("\n");
+    std::printf("%10.2f  ", slots[i].bw_gbps);
+    trend.add("bw_" + scheme + "_" + std::to_string(cell_workers(cells[i])) +
+                  "_gbps",
+              slots[i].bw_gbps, "Gbps");
+    total_events += slots[i].events;
   }
+  std::printf("\n");
   return total_events;
 }
 
-void print_footer() {
-  std::printf(
-      "\nValues: mean aggregate goodput (Gbps) over the steady half of the\n"
-      "run. Paper Fig. 13 shape: PARALEON >= max(Default, Expert) at every\n"
-      "scale, by up to 19.5%%.\n");
-}
+int run_scenario_grid(const scenario::Scenario& sc) {
+  const std::vector<scenario::GridCell> cells = scenario::expand_grid(sc);
+  print_grid_header(sc, cells);
 
-/// --legacy: the pre-scenario grid, hand-wired cells through parallel_map.
-int run_legacy_grid() {
-  print_grid_header();
-  std::vector<std::pair<Scheme, int>> cells;
-  for (const char* s : kSchemes) {
-    for (int n : kScales) {
-      cells.emplace_back(scenario::scheme_from_name(s), n);
-    }
-  }
-  const WallTimer wall;
-  const std::vector<CellSlot> bw = exec::parallel_map(
-      cells,
-      [](const std::pair<Scheme, int>& cell) {
-        return legacy_cell(cell.first, cell.second);
-      },
-      g_cli.jobs);
-  const double grid_seconds = wall.seconds();
-
-  TrendReport trend("fig13_alltoall_scale");
-  const std::uint64_t total_events = print_grid(bw, trend);
-  if (total_events > 0) {
-    trend.add("events_executed", static_cast<double>(total_events), "events");
-  }
-  trend.add("wall_seconds", grid_seconds, "s");
-  print_footer();
-  write_trend(g_cli, trend);
-  return 0;
-}
-
-/// Default mode: the same grid from scenarios/fig13_alltoall.json, with a
-/// digest parity check of the PARALEON x 8-worker cell against the legacy
-/// setup and the --grid-out / --grid-check paraleon.grid.v1 surface.
-int run_scenario_grid() {
-  const scenario::Scenario sc = scenario::load_scenario_file(
-      scenario_path("fig13_alltoall.json"), g_cli.tiny);
-  print_grid_header();
-
-  std::size_t n_cells = 1;
-  for (const auto& axis : sc.sweep) n_cells *= axis.values.size();
-  std::vector<CellSlot> slots(n_cells);
-
+  std::vector<CellSlot> slots(cells.size());
   scenario::GridOptions opts;
   opts.jobs = g_cli.jobs;
-  opts.perf_counters = g_cli.perf;
+  opts.on_config = [](const scenario::GridCell&, ExperimentConfig& cfg) {
+    apply_obs_cli(g_cli, cfg);
+  };
   opts.on_cell = [&slots](const scenario::GridCell& cell, Experiment& exp) {
     slots[cell.index].events =
         exp.simulator().obs().perf().events_executed();
@@ -155,86 +109,29 @@ int run_scenario_grid() {
   }
 
   TrendReport trend("fig13_alltoall_scale");
-  const std::uint64_t total_events = print_grid(slots, trend);
+  const std::uint64_t total_events = print_grid(grid.cells(), slots, trend);
   if (total_events > 0) {
     trend.add("events_executed", static_cast<double>(total_events), "events");
   }
   trend.add("wall_seconds", grid_seconds, "s");
   trend.add("grid_wall_seconds", grid_seconds, "s");
-  print_footer();
+  std::printf(
+      "\nValues: mean aggregate goodput (Gbps) over the steady half of the\n"
+      "run. Paper Fig. 13 shape: PARALEON >= max(Default, Expert) at every\n"
+      "scale, by up to 19.5%%.\n");
 
-  // Parity oracle: the PARALEON x 8-worker cell must reproduce the legacy
-  // hand-wired setup bit for bit.
-  {
-    ExperimentConfig cfg = legacy_fig13_config(Scheme::kParaleon, g_cli.tiny);
-    if (g_cli.perf) cfg.obs.perf_counters = true;
-    Experiment exp(cfg);
-    legacy_fig13_workloads(exp, 8);
-    if (exp.controller() != nullptr) exp.controller()->force_trigger();
-    exp.run();
-    const std::uint64_t legacy = run_digest(exp);
-    const Time tail_from = g_cli.tiny ? milliseconds(20) : milliseconds(100);
-    const double legacy_bw =
-        exp.throughput_series().mean_in(tail_from, exp.config().duration);
-    bool checked = false;
-    for (std::size_t i = 0; i < grid.cells().size(); ++i) {
-      const scenario::Scenario& cell = grid.cells()[i].scenario;
-      if (cell.scheme.name != "paraleon") continue;
-      if (cell.workload.front().workers != 8) continue;
-      checked = true;
-      if (grid.results()[i].digest != legacy ||
-          grid.results()[i].value != legacy_bw) {
-        std::fprintf(stderr,
-                     "parity: scenario PARALEON/8 cell (digest %016llx, "
-                     "%.4f Gbps) != legacy (digest %016llx, %.4f Gbps) — "
-                     "scenarios/fig13_alltoall.json drifted from "
-                     "bench/legacy_setups.hpp\n",
-                     static_cast<unsigned long long>(grid.results()[i].digest),
-                     grid.results()[i].value,
-                     static_cast<unsigned long long>(legacy), legacy_bw);
-        return 1;
-      }
-    }
-    if (!checked) {
-      std::fprintf(stderr, "parity: no paraleon/8 cell in the grid\n");
-      return 1;
-    }
-    std::printf("# parity: scenario PARALEON/8 cell matches the legacy "
-                "setup (digest %016llx)\n",
-                static_cast<unsigned long long>(legacy));
-  }
-
-  write_trend(g_cli, trend);
-  if (!g_cli.grid_out.empty()) {
-    grid.write(g_cli.grid_out);
-    std::printf("# grid: wrote %s\n", g_cli.grid_out.c_str());
-  }
-  if (g_cli.grid_check) {
-    scenario::GridOptions serial = opts;
-    serial.jobs = 1;
-    serial.telemetry = nullptr;
-    const scenario::GridOutcome again = scenario::run_grid(sc, serial);
-    if (again.to_json(false) != grid.to_json(false)) {
-      std::fprintf(stderr,
-                   "grid-check: deterministic half differs between jobs=%d "
-                   "and jobs=1\n",
-                   g_cli.jobs);
-      return 1;
-    }
-    std::printf("# grid-check: deterministic half byte-identical at jobs=%d "
-                "and jobs=1\n",
-                g_cli.jobs);
-  }
-  return 0;
+  if (!write_trend(g_cli, trend)) return 2;
+  return finish_grid(g_cli, sc, opts, grid, g_cli.grid_out);
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
   g_cli = parse_obs_cli(argc, argv);
-  if (g_cli.legacy) return run_legacy_grid();
+  if (strip_obs_cli(argc, argv) != 1) return obs_usage(argv);
   try {
-    return run_scenario_grid();
+    return run_scenario_grid(scenario::load_scenario_file(
+        scenario_path("fig13_alltoall.json"), g_cli.tiny));
   } catch (const scenario::ScenarioError& e) {
     std::fprintf(stderr, "scenario error: %s\n", e.what());
     return 2;

@@ -86,6 +86,5 @@ int main(int argc, char** argv) {
       "it.\n");
   TrendReport trend("fig14_rpc_influx");
   trend.add("wall_seconds", wall.seconds(), "s");
-  write_trend(cli, trend);
-  return 0;
+  return write_trend(cli, trend) ? 0 : 2;
 }

@@ -138,6 +138,5 @@ int main(int argc, char** argv) {
       "kmax up => throughput up, RTT up; rpg_time_reset down => same.\n");
   TrendReport trend("fig5_single_param");
   trend.add("wall_seconds", wall.seconds(), "s");
-  write_trend(cli, trend);
-  return 0;
+  return write_trend(cli, trend) ? 0 : 2;
 }

@@ -89,6 +89,5 @@ int main(int argc, char** argv) {
       "interior cell, and RTT grows sharply there.\n");
   TrendReport trend("fig6_inter_param");
   trend.add("wall_seconds", wall.seconds(), "s");
-  write_trend(cli, trend);
-  return 0;
+  return write_trend(cli, trend) ? 0 : 2;
 }

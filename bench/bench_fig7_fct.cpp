@@ -123,6 +123,5 @@ int main(int argc, char** argv) {
       "EXPERIMENTS.md).\n");
   TrendReport trend("fig7_fct");
   trend.add("wall_seconds", wall.seconds(), "s");
-  write_trend(g_cli, trend);
-  return 0;
+  return write_trend(g_cli, trend) ? 0 : 2;
 }

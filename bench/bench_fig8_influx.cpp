@@ -6,25 +6,23 @@
 // FSD -> delay-friendly setting) below the other schemes, then restores
 // throughput for the remaining elephants after the burst.
 //
-// The scheme table is now driven by scenarios/fig8_influx.json through
-// the scenario engine's GridRunner (`--jobs N` fans the scheme cells
-// out); every run asserts the scenario's PARALEON cell reproduces the
-// legacy hand-wired setup's run_digest bit for bit, and `--legacy` runs
-// the pre-scenario table directly (one-PR escape hatch, see
-// bench/legacy_setups.hpp). The sweep / flight-fault / replay modes keep
-// the legacy setup: they exercise exec and obs machinery, not the
-// scenario mapping.
+// Every mode builds from scenarios/fig8_influx.json: the scheme table runs
+// the file's scheme axis through the scenario engine's GridRunner
+// (`--jobs N` fans the cells out), and the sweep / flight-fault / replay
+// modes run its scheme.name=paraleon cell through the same
+// to_experiment_config -> FlowScheduler path. tests/
+// scenario_golden_test.cpp pins the cells' --tiny run_digests.
 #include <chrono>
 #include <cstdio>
 #include <memory>
+#include <sstream>
 #include <vector>
 
 #include "bench_common.hpp"
 #include "exec/parallel_sweep.hpp"
 #include "exec/thread_pool.hpp"
-#include "legacy_setups.hpp"
 #include "runner/flight.hpp"
-#include "scenario/grid_runner.hpp"
+#include "scenario/flow_scheduler.hpp"
 
 using namespace paraleon;
 using namespace paraleon::bench;
@@ -34,42 +32,55 @@ namespace {
 
 ObsCli g_cli;
 
-ExperimentConfig fig8_config(Scheme s) {
-  ExperimentConfig cfg = legacy_fig8_config(s, g_cli.tiny);
+/// The scheme.name=paraleon cell of the fig8 grid: what the sweep,
+/// flight-fault and replay modes run.
+scenario::GridCell paraleon_cell(const scenario::Scenario& sc) {
+  for (scenario::GridCell& cell : scenario::expand_grid(sc)) {
+    if (cell.scenario.scheme.name == "paraleon") return std::move(cell);
+  }
+  throw scenario::ScenarioError(sc.name + ": no scheme.name=paraleon cell");
+}
+
+/// The cell's config with the CLI layered on, as the grid's on_config
+/// hook does for the table.
+ExperimentConfig cell_config(const scenario::GridCell& cell) {
+  ExperimentConfig cfg = scenario::to_experiment_config(cell.scenario);
   apply_obs_cli(g_cli, cfg);
   return cfg;
 }
 
-/// The fig8 workload mix, shared by the legacy table, the fault-injection
-/// run and --replay-flight (a replay MUST install the identical workloads:
-/// the bundle stores only seed + horizon, determinism does the rest).
-void setup_workloads(Experiment& exp) {
-  legacy_fig8_workloads(exp, g_cli.tiny);
+/// Builds the cell's experiment and installs its workload components (a
+/// replay MUST install the identical workloads: the bundle stores only
+/// seed + horizon, determinism does the rest).
+std::unique_ptr<Experiment> build(const scenario::GridCell& cell,
+                                  ExperimentConfig cfg) {
+  auto exp = std::make_unique<Experiment>(std::move(cfg));
+  scenario::FlowScheduler(cell.scenario, exp.get()).install_all();
+  return exp;
 }
 
 /// --flight-fault: trip the flight recorder on demand by corrupting ToR 0's
 /// MMU accounting mid-run; the kFull invariant checker throws CheckFailure
 /// and the armed recorder dumps a "check_failure" bundle. Exit 0 iff the
 /// bundle landed (CI validates and replays it afterwards).
-int run_flight_fault() {
-  ExperimentConfig cfg = fig8_config(Scheme::kParaleon);
+int run_flight_fault(const scenario::GridCell& cell) {
+  ExperimentConfig cfg = cell_config(cell);
   cfg.invariants.level = check::CheckLevel::kFull;
-  Experiment exp(cfg);
-  setup_workloads(exp);
+  const std::unique_ptr<Experiment> exp = build(cell, std::move(cfg));
   const Time fault_at = g_cli.tiny ? milliseconds(10) : milliseconds(80);
-  exp.simulator().schedule_at(fault_at, [&exp] {
-    exp.topology().tor(0).inject_buffer_accounting_fault(4096);
+  exp->simulator().schedule_at(fault_at, [&exp] {
+    exp->topology().tor(0).inject_buffer_accounting_fault(4096);
   });
   try {
-    exp.run();
+    exp->run();
     std::fprintf(stderr, "flight-fault: injected fault was not detected\n");
     return 1;
   } catch (const check::CheckFailure&) {
-    if (exp.flight_bundle_dir().empty()) {
+    if (exp->flight_bundle_dir().empty()) {
       std::fprintf(stderr, "flight-fault: CheckFailure but no bundle\n");
       return 1;
     }
-    std::printf("# flight bundle: %s\n", exp.flight_bundle_dir().c_str());
+    std::printf("# flight bundle: %s\n", exp->flight_bundle_dir().c_str());
   }
   return 0;
 }
@@ -78,21 +89,21 @@ int run_flight_fault() {
 /// category forced on up to just past the trigger, writing the Perfetto
 /// trace of the anomaly window back into the bundle. The other flags
 /// (--tiny in particular) must match the invocation that wrote it.
-int run_replay(const std::string& bundle) {
+int run_replay(const scenario::GridCell& cell, const std::string& bundle) {
   ReplayRequest req;
   if (!load_replay_request(bundle, &req)) {
     std::fprintf(stderr, "replay-flight: cannot read %s/replay.cfg\n",
                  bundle.c_str());
     return 1;
   }
-  ExperimentConfig cfg = fig8_config(Scheme::kParaleon);
+  ExperimentConfig cfg = cell_config(cell);
   apply_replay(cfg, req);
-  Experiment exp(cfg);
-  setup_workloads(exp);
-  exp.run();
-  if (!write_replay_outputs(exp, bundle)) {
-    std::fprintf(stderr, "replay-flight: cannot write replay outputs\n");
-    return 1;
+  const std::unique_ptr<Experiment> exp = build(cell, std::move(cfg));
+  exp->run();
+  if (!write_replay_outputs(*exp, bundle)) {
+    std::fprintf(stderr, "replay-flight: cannot write replay outputs to %s\n",
+                 bundle.c_str());
+    return 2;
   }
   std::printf(
       "# replay: wrote %s/replay.trace.json (trigger at %lld ns, window "
@@ -113,15 +124,13 @@ int run_replay(const std::string& bundle) {
 /// document (the ungated sweep_* rows of BENCH_fig8.json).
 /// Exit nonzero on any digest mismatch: the determinism contract of
 /// docs/PARALLELISM.md, checked on the real bench workload.
-int run_sweep(int n) {
+int run_sweep(const scenario::GridCell& cell, int n) {
   std::vector<std::uint64_t> seeds;
   for (int i = 0; i < n; ++i) seeds.push_back(100 + static_cast<unsigned>(i));
-  const auto make = [](std::uint64_t seed) {
-    ExperimentConfig cfg = fig8_config(Scheme::kParaleon);
+  const auto make = [&cell](std::uint64_t seed) {
+    ExperimentConfig cfg = cell_config(cell);
     cfg.seed = seed;
-    auto exp = std::make_unique<Experiment>(std::move(cfg));
-    setup_workloads(*exp);
-    return exp;
+    return build(cell, std::move(cfg));
   };
   const auto metric = [](Experiment& exp) {
     return exp.throughput_series().mean_in(0, exp.config().duration);
@@ -157,7 +166,7 @@ int run_sweep(int n) {
               serial_s, parallel_s, speedup, match ? "MATCH" : "MISMATCH");
 
   if (!g_cli.sweep_out.empty()) {
-    std::ofstream f(g_cli.sweep_out);
+    std::ostringstream f;
     f << "{\n  \"bench\": \"fig8_sweep\",\n";
     f << "  \"seeds\": " << n << ",\n";
     f << "  \"jobs\": " << par_jobs << ",\n";
@@ -174,7 +183,7 @@ int run_sweep(int n) {
         << std::hex << serial.runs[i].digest << std::dec << "\"}";
     }
     f << "\n  ]\n}\n";
-    std::printf("# sweep: wrote %s\n", g_cli.sweep_out.c_str());
+    if (!emit_artifact("sweep", g_cli.sweep_out, f.str())) return 2;
   }
 
   // Worker utilization of the instrumented parallel leg: busy time over
@@ -201,10 +210,7 @@ int run_sweep(int n) {
       fleet.add_run(r.seed, r.digest, r.value, r.scrape);
     }
     fleet.set_pool(&pool);
-    fleet.write(g_cli.fleet_out);
-    fleet.write_timeline(fleet_timeline_path(g_cli.fleet_out));
-    std::printf("# fleet: wrote %s and %s\n", g_cli.fleet_out.c_str(),
-                fleet_timeline_path(g_cli.fleet_out).c_str());
+    if (!write_fleet(g_cli, fleet)) return 2;
   }
 
   if (!g_cli.perf_out.empty()) {
@@ -213,7 +219,7 @@ int run_sweep(int n) {
     trend.add("sweep_parallel_seconds", parallel_s, "s");
     trend.add("sweep_speedup", speedup, "x");
     trend.add("sweep_worker_utilization_pct", util_pct, "%");
-    write_trend(g_cli, trend);
+    if (!write_trend(g_cli, trend)) return 2;
   }
 
   if (!match) {
@@ -225,7 +231,7 @@ int run_sweep(int n) {
   return 0;
 }
 
-/// The fig8 reporting phases, shared by the legacy and scenario tables.
+/// The fig8 reporting phases.
 struct Fig8Phases {
   Time before_start, influx_start, influx_end, tail_start, end;
 };
@@ -251,65 +257,6 @@ void print_table_header(const ExperimentConfig& cfg) {
               "rtt_us", "Gbps", "rtt_us", "Gbps", "rtt_us");
 }
 
-void run_scheme(Scheme s, TrendReport* trend) {
-  ExperimentConfig cfg = fig8_config(s);
-  const Fig8Phases ph = fig8_phases(cfg.duration);
-  Experiment exp(cfg);
-  setup_workloads(exp);
-  exp.run();
-  if (s == Scheme::kParaleon) dump_obs(g_cli, exp, "fig8_paraleon");
-
-  const auto& tput = exp.throughput_series();
-  const auto& rtt = exp.rtt_series();
-  std::printf("%-10s", scheme_name(s).c_str());
-  const auto phase = [&](Time a, Time b) {
-    std::printf(" | %8.2f %8.2f", tput.mean_in(a, b), rtt.mean_in(a, b));
-  };
-  phase(ph.before_start, ph.influx_start);                   // before
-  phase(ph.influx_start + milliseconds(2), ph.influx_end);   // influx
-  phase(ph.tail_start, ph.end);  // after (converged tail)
-  if (exp.controller() != nullptr) {
-    std::printf("  (episodes=%llu)",
-                static_cast<unsigned long long>(exp.controller()->episodes()));
-  }
-  std::printf("\n");
-
-  // The PARALEON run is the one the committed BENCH_fig8.json baseline
-  // tracks: the three phase means, flow completions, and the event-loop
-  // economics from the PerfMonitor.
-  if (s == Scheme::kParaleon && trend != nullptr) {
-    trend->add("before_tput_gbps", tput.mean_in(ph.before_start,
-                                                ph.influx_start), "Gbps");
-    trend->add("influx_rtt_us",
-               rtt.mean_in(ph.influx_start + milliseconds(2), ph.influx_end),
-               "us");
-    trend->add("after_tput_gbps", tput.mean_in(ph.tail_start, ph.end),
-               "Gbps");
-    trend->add("fct_finished", static_cast<double>(exp.fct().finished()),
-               "flows");
-    if (exp.controller() != nullptr) {
-      trend->add("episodes", static_cast<double>(exp.controller()->episodes()),
-                 "episodes");
-    }
-    add_perf_metrics(*trend, exp);
-  }
-}
-
-/// --legacy: the pre-scenario table, scheme by scheme, serial.
-int run_legacy_table() {
-  print_table_header(fig8_config(Scheme::kParaleon));
-  TrendReport trend("fig8_influx");
-  for (Scheme s : {Scheme::kDefaultStatic, Scheme::kExpertStatic,
-                   Scheme::kAcc, Scheme::kDcqcnPlus, Scheme::kParaleon}) {
-    run_scheme(s, &trend);
-  }
-  std::printf(
-      "\nPaper Fig. 8 shape: PARALEON shows the lowest RTT during the\n"
-      "influx window and the highest throughput after it.\n");
-  write_trend(g_cli, trend);
-  return 0;
-}
-
 /// Per-cell phase means harvested by the grid's on_cell hook (slots are
 /// preallocated and indexed by cell, so pool threads never contend).
 struct Fig8Slot {
@@ -318,27 +265,21 @@ struct Fig8Slot {
   double after_tput = 0, after_rtt = 0;
   double episodes = -1;  // -1 = scheme has no controller
   std::uint64_t fct_finished = 0;
+  bool obs_written = true;  // false when a --trace dump failed
 };
 
-/// Default mode: the scheme table from scenarios/fig8_influx.json. The
-/// scheme axis runs through the GridRunner (--jobs fans cells out), the
-/// PARALEON cell is digest-checked against the legacy hand-wired setup,
-/// and --grid-out / --grid-check expose the paraleon.grid.v1 surface.
-int run_scenario_table() {
-  const scenario::Scenario sc = scenario::load_scenario_file(
-      scenario_path("fig8_influx.json"), g_cli.tiny);
-  print_table_header(fig8_config(Scheme::kParaleon));
+/// Default mode: the scheme table from the grid of scenarios/
+/// fig8_influx.json (--jobs fans cells out), with the --grid-out /
+/// --grid-check paraleon.grid.v1 surface.
+int run_scenario_table(const scenario::Scenario& sc) {
+  print_table_header(scenario::to_experiment_config(sc));
 
-  std::size_t n_cells = 1;
-  for (const auto& axis : sc.sweep) n_cells *= axis.values.size();
+  const std::size_t n_cells = scenario::expand_grid(sc).size();
   std::vector<Fig8Slot> slots(n_cells);
   TrendReport trend("fig8_influx");
 
   scenario::GridOptions opts;
   opts.jobs = g_cli.jobs;
-  // The legacy oracle below applies the same CLI to its config: tracing
-  // schedules scrape events, so the digests only match when both sides
-  // see identical obs settings.
   opts.on_config = [](const scenario::GridCell&, ExperimentConfig& cfg) {
     apply_obs_cli(g_cli, cfg);
   };
@@ -361,7 +302,7 @@ int run_scenario_table() {
     }
     slot.fct_finished = exp.fct().finished();
     if (cell.scenario.scheme.name == "paraleon") {
-      dump_obs(g_cli, exp, "fig8_paraleon");
+      slot.obs_written = dump_obs(g_cli, exp, "fig8_paraleon");
       add_perf_metrics(trend, exp);
     }
   };
@@ -373,9 +314,11 @@ int run_scenario_table() {
   const double grid_seconds = wall.seconds();
   grid.set_wall_seconds(grid_seconds);
 
+  bool obs_written = true;
   for (std::size_t i = 0; i < grid.cells().size(); ++i) {
     const scenario::GridCell& cell = grid.cells()[i];
     const Fig8Slot& slot = slots[i];
+    obs_written = obs_written && slot.obs_written;
     std::printf("%-10s",
                 scheme_name(scenario::scheme_from_name(
                                 cell.scenario.scheme.name))
@@ -400,73 +343,27 @@ int run_scenario_table() {
   std::printf(
       "\nPaper Fig. 8 shape: PARALEON shows the lowest RTT during the\n"
       "influx window and the highest throughput after it.\n");
-
-  // Parity oracle: the PARALEON cell must reproduce the legacy hand-wired
-  // setup's run_digest bit for bit (bench/legacy_setups.hpp).
-  {
-    ExperimentConfig cfg = fig8_config(Scheme::kParaleon);
-    Experiment exp(cfg);
-    setup_workloads(exp);
-    exp.run();
-    const std::uint64_t legacy = run_digest(exp);
-    bool found = false;
-    for (std::size_t i = 0; i < grid.cells().size(); ++i) {
-      if (grid.cells()[i].scenario.scheme.name != "paraleon") continue;
-      found = true;
-      if (grid.results()[i].digest != legacy) {
-        std::fprintf(stderr,
-                     "parity: scenario PARALEON digest %016llx != legacy "
-                     "%016llx — scenarios/fig8_influx.json drifted from "
-                     "bench/legacy_setups.hpp\n",
-                     static_cast<unsigned long long>(grid.results()[i].digest),
-                     static_cast<unsigned long long>(legacy));
-        return 1;
-      }
-    }
-    if (!found) {
-      std::fprintf(stderr, "parity: no paraleon cell in the grid\n");
-      return 1;
-    }
-    std::printf("# parity: scenario PARALEON cell matches the legacy setup "
-                "(digest %016llx)\n",
-                static_cast<unsigned long long>(legacy));
-  }
+  if (!obs_written) return 2;
 
   trend.add("grid_wall_seconds", grid_seconds, "s");
-  write_trend(g_cli, trend);
-  if (!g_cli.grid_out.empty()) {
-    grid.write(g_cli.grid_out);
-    std::printf("# grid: wrote %s\n", g_cli.grid_out.c_str());
-  }
-  if (g_cli.grid_check) {
-    scenario::GridOptions serial = opts;
-    serial.jobs = 1;
-    serial.telemetry = nullptr;
-    const scenario::GridOutcome again = scenario::run_grid(sc, serial);
-    if (again.to_json(false) != grid.to_json(false)) {
-      std::fprintf(stderr,
-                   "grid-check: deterministic half differs between jobs=%d "
-                   "and jobs=1\n",
-                   g_cli.jobs);
-      return 1;
-    }
-    std::printf("# grid-check: deterministic half byte-identical at jobs=%d "
-                "and jobs=1\n",
-                g_cli.jobs);
-  }
-  return 0;
+  if (!write_trend(g_cli, trend)) return 2;
+  return finish_grid(g_cli, sc, opts, grid, g_cli.grid_out);
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
   g_cli = parse_obs_cli(argc, argv);
-  if (!g_cli.replay_bundle.empty()) return run_replay(g_cli.replay_bundle);
-  if (g_cli.flight_fault) return run_flight_fault();
-  if (g_cli.sweep > 0) return run_sweep(g_cli.sweep);
-  if (g_cli.legacy) return run_legacy_table();
+  if (strip_obs_cli(argc, argv) != 1) return obs_usage(argv);
   try {
-    return run_scenario_table();
+    const scenario::Scenario sc = scenario::load_scenario_file(
+        scenario_path("fig8_influx.json"), g_cli.tiny);
+    if (!g_cli.replay_bundle.empty()) {
+      return run_replay(paraleon_cell(sc), g_cli.replay_bundle);
+    }
+    if (g_cli.flight_fault) return run_flight_fault(paraleon_cell(sc));
+    if (g_cli.sweep > 0) return run_sweep(paraleon_cell(sc), g_cli.sweep);
+    return run_scenario_table(sc);
   } catch (const scenario::ScenarioError& e) {
     std::fprintf(stderr, "scenario error: %s\n", e.what());
     return 2;

@@ -112,6 +112,5 @@ int main(int argc, char** argv) {
       "influx AND higher throughput afterwards.\n");
   TrendReport trend("fig9_pretrained");
   trend.add("wall_seconds", wall.seconds(), "s");
-  write_trend(cli, trend);
-  return 0;
+  return write_trend(cli, trend) ? 0 : 2;
 }

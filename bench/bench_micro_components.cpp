@@ -164,8 +164,9 @@ double timed_event_loop(bool perf_on, std::uint64_t* events_out) {
 /// The bench-trend artifact: min-of-N wall times for the event loop with
 /// the PerfMonitor off vs on, the overhead between them, and the
 /// deterministic event count. Min-of-N because the trend gate wants the
-/// machine's best case, not its scheduler noise.
-void write_micro_trend(const paraleon::bench::ObsCli& cli) {
+/// machine's best case, not its scheduler noise. False when the artifact
+/// was not written.
+bool write_micro_trend(const paraleon::bench::ObsCli& cli) {
   constexpr int kReps = 15;
   double off_s = 1e9, on_s = 1e9;
   double paired_pct[kReps];
@@ -200,7 +201,7 @@ void write_micro_trend(const paraleon::bench::ObsCli& cli) {
               "overhead %.2f%%\n",
               static_cast<double>(events) / off_s,
               static_cast<double>(events) / on_s, overhead_pct);
-  paraleon::bench::write_trend(cli, trend);
+  return paraleon::bench::write_trend(cli, trend);
 }
 
 }  // namespace
@@ -238,7 +239,7 @@ int main(int argc, char** argv) {
   benchmark::RunSpecifiedBenchmarks();
   // The bench-trend artifact is measured outside google-benchmark so the
   // off/on comparison shares one workload and one min-of-N policy.
-  if (!cli.perf_out.empty()) paraleon::write_micro_trend(cli);
+  const bool written = cli.perf_out.empty() || paraleon::write_micro_trend(cli);
   benchmark::Shutdown();
-  return 0;
+  return written ? 0 : 2;
 }

@@ -59,6 +59,5 @@ int main(int argc, char** argv) {
       "with a growing absolute gap here.\n");
   TrendReport trend("table2_alltoall_presets");
   trend.add("wall_seconds", wall.seconds(), "s");
-  write_trend(cli, trend);
-  return 0;
+  return write_trend(cli, trend) ? 0 : 2;
 }

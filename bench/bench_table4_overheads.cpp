@@ -104,6 +104,5 @@ int main(int argc, char** argv) {
   trend.add("controller_to_devices_bytes",
             static_cast<double>(oh.controller_to_devices_bytes), "B");
   trend.add("wall_seconds", wall.seconds(), "s");
-  write_trend(cli, trend);
-  return 0;
+  return write_trend(cli, trend) ? 0 : 2;
 }

@@ -78,16 +78,13 @@ int run_single(const scenario::Scenario& sc) {
   if (!exp.flight_bundle_dir().empty()) {
     std::printf("# flight bundle: %s\n", exp.flight_bundle_dir().c_str());
   }
-  dump_obs(g_cli, exp, sc.name);
-  if (!g_cli.perf_out.empty()) {
-    TrendReport trend(sc.name);
-    trend.add("metric_" + sc.metric.name, value);
-    trend.add("fct_finished", static_cast<double>(exp.fct().finished()),
-              "flows");
-    add_perf_metrics(trend, exp);
-    write_trend(g_cli, trend);
-  }
-  return 0;
+  if (!dump_obs(g_cli, exp, sc.name)) return 2;
+  TrendReport trend(sc.name);
+  trend.add("metric_" + sc.metric.name, value);
+  trend.add("fct_finished", static_cast<double>(exp.fct().finished()),
+            "flows");
+  add_perf_metrics(trend, exp);
+  return write_trend(g_cli, trend) ? 0 : 2;
 }
 
 int run_grid_mode(const scenario::Scenario& sc) {
@@ -101,7 +98,9 @@ int run_grid_mode(const scenario::Scenario& sc) {
   obs::PoolTelemetry pool;
   scenario::GridOptions opts;
   opts.jobs = g_cli.jobs;
-  opts.perf_counters = g_cli.perf;
+  opts.on_config = [](const scenario::GridCell&, ExperimentConfig& cfg) {
+    apply_obs_cli(g_cli, cfg);
+  };
   opts.telemetry = &pool;
 
   print_header("scenario grid: " + sc.name,
@@ -124,13 +123,6 @@ int run_grid_mode(const scenario::Scenario& sc) {
   std::printf("# grid: %zu cells in %.2fs wall (jobs=%d)\n",
               grid.results().size(), grid_seconds, g_cli.jobs);
 
-  const std::string grid_path = g_cli.grid_out.empty()
-                                    ? g_cli.out_dir + "/" + sc.name +
-                                          ".grid.json"
-                                    : g_cli.grid_out;
-  grid.write(grid_path);
-  std::printf("# grid: wrote %s\n", grid_path.c_str());
-
   if (!g_cli.fleet_out.empty()) {
     // Cell table as a fleet report: rows keyed by CELL INDEX (cells share
     // the scenario seed, and fleet rows key on the seed column).
@@ -141,41 +133,24 @@ int run_grid_mode(const scenario::Scenario& sc) {
       fleet.add_run(r.index, r.digest, r.value, r.scrape);
     }
     fleet.set_pool(&pool);
-    fleet.write(g_cli.fleet_out);
-    fleet.write_timeline(fleet_timeline_path(g_cli.fleet_out));
-    std::printf("# fleet: wrote %s and %s\n", g_cli.fleet_out.c_str(),
-                fleet_timeline_path(g_cli.fleet_out).c_str());
+    if (!write_fleet(g_cli, fleet)) return 2;
   }
 
-  if (!g_cli.perf_out.empty()) {
-    TrendReport trend(sc.name);
-    trend.add("grid_wall_seconds", grid_seconds, "s");
-    trend.add("grid_cells", static_cast<double>(grid.results().size()),
-              "cells");
-    for (const auto& r : grid.results()) {
-      trend.add("cell" + std::to_string(r.index) + "_" + sc.metric.name,
-                r.value);
-    }
-    write_trend(g_cli, trend);
+  TrendReport trend(sc.name);
+  trend.add("grid_wall_seconds", grid_seconds, "s");
+  trend.add("grid_cells", static_cast<double>(grid.results().size()),
+            "cells");
+  for (const auto& r : grid.results()) {
+    trend.add("cell" + std::to_string(r.index) + "_" + sc.metric.name,
+              r.value);
   }
+  if (!write_trend(g_cli, trend)) return 2;
 
-  if (g_cli.grid_check) {
-    scenario::GridOptions serial = opts;
-    serial.jobs = 1;
-    serial.telemetry = nullptr;
-    const scenario::GridOutcome again = scenario::run_grid(sc, serial);
-    if (again.to_json(false) != grid.to_json(false)) {
-      std::fprintf(stderr,
-                   "grid-check: deterministic half differs between jobs=%d "
-                   "and jobs=1\n",
-                   g_cli.jobs);
-      return 1;
-    }
-    std::printf("# grid-check: deterministic half byte-identical at jobs=%d "
-                "and jobs=1\n",
-                g_cli.jobs);
-  }
-  return 0;
+  const std::string grid_path = g_cli.grid_out.empty()
+                                    ? g_cli.out_dir + "/" + sc.name +
+                                          ".grid.json"
+                                    : g_cli.grid_out;
+  return finish_grid(g_cli, sc, opts, grid, grid_path);
 }
 
 }  // namespace

@@ -4,6 +4,8 @@
 #include <fstream>
 #include <sstream>
 
+#include "common/artifact.hpp"
+
 namespace paraleon::obs {
 
 const char* AnomalyTriggers::update(const Sample& s) {
@@ -44,11 +46,7 @@ bool BundleWriter::create_dir(const std::string& dir) {
 
 bool BundleWriter::write_file(const std::string& dir, const std::string& name,
                               const std::string& content) {
-  std::ofstream out(std::filesystem::path(dir) / name,
-                    std::ios::binary | std::ios::trunc);
-  if (!out) return false;
-  out << content;
-  return static_cast<bool>(out);
+  return write_artifact((std::filesystem::path(dir) / name).string(), content);
 }
 
 std::string BundleWriter::read_file(const std::string& dir,

@@ -2,7 +2,6 @@
 
 #include <cmath>
 #include <cstdio>
-#include <fstream>
 #include <limits>
 
 #include "obs/counters.hpp"
@@ -86,11 +85,6 @@ std::string aggregate_json(const FleetAggregate& a) {
   out += ", \"max\": " + obs::format_value(a.max);
   out += ", \"n\": " + std::to_string(a.n) + "}";
   return out;
-}
-
-void write_text(const std::string& path, const std::string& text) {
-  std::ofstream out(path, std::ios::binary);
-  out << text << "\n";
 }
 
 }  // namespace
@@ -385,14 +379,6 @@ std::string FleetReport::timeline_json() const {
 
   out += "]}";
   return out;
-}
-
-void FleetReport::write(const std::string& path) const {
-  write_text(path, to_json(true));
-}
-
-void FleetReport::write_timeline(const std::string& path) const {
-  write_text(path, timeline_json());
 }
 
 }  // namespace paraleon::runner

@@ -82,8 +82,8 @@ std::vector<Straggler> find_stragglers(
 ///   fleet.set_sweep_shape(seeds.size(), 4, hw);
 ///   for (...) fleet.add_run(seed, digest, value, row.scrape);
 ///   fleet.set_pool(&pool);
-///   fleet.write("fleet.json");
-///   fleet.write_timeline("fleet.timeline.json");
+///   write_artifact("fleet.json", fleet.to_json() + "\n");
+///   write_artifact("fleet.timeline.json", fleet.timeline_json() + "\n");
 class FleetReport {
  public:
   explicit FleetReport(std::string name) : name_(std::move(name)) {}
@@ -123,9 +123,6 @@ class FleetReport {
   /// order matches the run rows), and an 's'->'f' flow arrow from each
   /// submission to its execution.
   std::string timeline_json() const;
-
-  void write(const std::string& path) const;
-  void write_timeline(const std::string& path) const;
 
  private:
   struct RunRow {

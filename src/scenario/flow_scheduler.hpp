@@ -1,6 +1,5 @@
 // FlowScheduler: composes a scenario's named workload components into one
-// deterministic flow-arrival stream on the shared fabric — the replacement
-// for the per-bench hand-wired setup_workloads() functions.
+// deterministic flow-arrival stream on the shared fabric.
 //
 // Determinism contract:
 //   * Components install in file order, so same-timestamp arrivals fire
@@ -11,9 +10,8 @@
 //     component's position — so adding or removing a sibling leaves the
 //     survivors' arrival times byte-identical (tested).
 //   * Flow-id spaces are disjoint: the scheduler routes alltoall/poisson
-//     through the Experiment's own add_* paths (byte-identical to the
-//     legacy benches) and claims next_workload_flow_base() for the new
-//     kinds.
+//     through the Experiment's own add_* paths and claims
+//     next_workload_flow_base() for the new kinds.
 #pragma once
 
 #include <cstdint>

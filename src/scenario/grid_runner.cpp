@@ -1,7 +1,6 @@
 #include "scenario/grid_runner.hpp"
 
 #include <cstdio>
-#include <fstream>
 
 #include "exec/parallel_map.hpp"
 #include "stats/percentile.hpp"
@@ -47,8 +46,7 @@ std::vector<GridCell> expand_grid(const Scenario& base) {
   std::vector<GridCell> cells;
   cells.reserve(total);
   // Odometer over the axis value indices: the LAST axis spins fastest, so
-  // the first axis is the slow (outer) dimension — fig13's legacy
-  // scheme-outer / scale-inner order.
+  // the first axis is the slow (outer) dimension.
   std::vector<std::size_t> odo(axes.size(), 0);
   for (std::size_t index = 0; index < total; ++index) {
     GridCell cell;
@@ -76,7 +74,6 @@ std::vector<GridCell> expand_grid(const Scenario& base) {
 
 CellResult run_cell(const GridCell& cell, const GridOptions& opts) {
   runner::ExperimentConfig cfg = to_experiment_config(cell.scenario);
-  if (opts.perf_counters) cfg.obs.perf_counters = true;
   if (opts.on_config) opts.on_config(cell, cfg);
   runner::Experiment exp(cfg);
   FlowScheduler flows(cell.scenario, &exp);
@@ -238,11 +235,6 @@ std::string GridOutcome::to_json(bool include_wall) const {
     doc.set("wall", std::move(wall));
   }
   return doc.dump() + "\n";
-}
-
-void GridOutcome::write(const std::string& path, bool include_wall) const {
-  std::ofstream out(path);
-  out << to_json(include_wall);
 }
 
 }  // namespace paraleon::scenario

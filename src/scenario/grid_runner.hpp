@@ -10,8 +10,8 @@
 // only under the "wall" subtree, which to_json(false) omits entirely — the
 // form the grid determinism test byte-compares across worker counts.
 //
-// Cell enumeration is row-major with the FIRST axis slowest, matching the
-// legacy fig13 bench's scheme-outer / scale-inner loop order.
+// Cell enumeration is row-major with the FIRST axis slowest: fig13's
+// scheme x workers axes give scheme-outer / scale-inner rows.
 #pragma once
 
 #include <cstddef>
@@ -49,17 +49,13 @@ struct GridOptions {
   /// Worker threads for the cell fan-out; <=1 is the exact serial path,
   /// 0 means one per hardware core.
   int jobs = 1;
-  /// Enable cheap per-run perf counters on every cell (wall data — the
-  /// digest never sees it).
-  bool perf_counters = false;
   /// Observes the pool that runs the cells (wall half of the report).
   obs::PoolTelemetry* telemetry = nullptr;
-  /// Last-mile config hook, applied after the scenario's own mapping and
-  /// the perf_counters flag, before the Experiment is built — how the
-  /// benches layer their --trace/--flight CLI onto every cell. Anything
-  /// it changes that alters telemetry (tracing schedules scrape events)
-  /// changes the cells' digests, so a parity oracle must apply the SAME
-  /// hook to its legacy config.
+  /// Last-mile config hook, applied after the scenario's own mapping,
+  /// before the Experiment is built — how the benches layer their
+  /// --trace/--perf/--flight CLI onto every cell. Anything it changes that
+  /// alters telemetry (tracing schedules scrape events) changes the cells'
+  /// digests.
   std::function<void(const GridCell&, runner::ExperimentConfig&)> on_config;
   /// Per-cell hook, called on the WORKER thread after the cell's run
   /// completes. Must not touch shared mutable state except through
@@ -93,7 +89,6 @@ class GridOutcome {
   /// The paraleon.grid.v1 document. include_wall=false omits the "wall"
   /// subtree — byte-deterministic at any job count.
   std::string to_json(bool include_wall = true) const;
-  void write(const std::string& path, bool include_wall = true) const;
 
  private:
   std::string name_;
@@ -117,7 +112,7 @@ std::vector<GridCell> expand_grid(const Scenario& base);
 
 /// Runs one cell to completion: config, experiment, FlowScheduler,
 /// forced trigger when requested, run, digest + metric + scrape. Exposed
-/// for the parity tests; run_grid fans exactly this out.
+/// for the golden-digest tests; run_grid fans exactly this out.
 CellResult run_cell(const GridCell& cell, const GridOptions& opts);
 
 /// The whole grid through exec::parallel_map. Results come back in cell

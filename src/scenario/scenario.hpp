@@ -10,10 +10,10 @@
 // remove). Sweeps are re-validated per cell: an axis over an unknown key
 // fails the same way.
 //
-// Parity contract: `to_experiment_config` routes through the same
-// `apply_paper_defaults` the benches' paper_fabric() uses, so a scenario
-// that spells out the fig8/fig13 setups produces a byte-identical
-// ExperimentConfig — the run_digest parity the migrated benches assert.
+// Golden contract: the committed scenario files are the only description
+// of the fig8/fig13/multi-tenant experiments, and tests/
+// scenario_golden_test.cpp pins their --tiny cells' run_digests, so a
+// change to this mapping that moves a digest fails tier-1.
 #pragma once
 
 #include <cstdint>
@@ -172,8 +172,8 @@ void apply_dotted_patch(Json& doc, const std::string& key,
 std::string suggest_key(const std::string& bad,
                         const std::vector<std::string>& known);
 
-/// Every legal scheme.params override key, sorted (schema docs + the
-/// Python validator mirror this list).
+/// Every legal scheme.params override key, sorted (the schema docs
+/// mirror this list).
 const std::vector<std::string>& param_override_keys();
 
 // ---------------------------------------------------------------------
@@ -183,7 +183,8 @@ const std::vector<std::string>& param_override_keys();
 /// The shared paper-default block (Table III controller, SA schedule,
 /// agent thresholds) applied on top of an already-shaped clos config —
 /// the single source both bench::paper_fabric and scenarios route
-/// through, which is what makes scenario/legacy configs byte-identical.
+/// through, so a scenario spelling out a bench fabric builds the same
+/// config as the bench.
 void apply_paper_defaults(runner::ExperimentConfig& cfg);
 
 runner::Scheme scheme_from_name(const std::string& name);

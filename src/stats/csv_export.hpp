@@ -10,7 +10,8 @@
 
 namespace paraleon::stats {
 
-/// Writes `t_ms,value` rows. Returns false on I/O failure.
+/// Writes `t_ms,value` rows through write_artifact (parent directories
+/// are created). Returns false on I/O failure.
 bool write_timeseries_csv(const std::string& path, const TimeSeries& series);
 
 /// Writes `flow_id,src,dst,size_bytes,start_ms,fct_ms` rows for completed

@@ -1,9 +1,15 @@
-// Units and RNG: determinism, distribution sanity, conversion exactness.
+// Units and RNG: determinism, distribution sanity, conversion exactness;
+// the artifact writer's directory creation and failure reporting.
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <filesystem>
+#include <fstream>
+#include <iterator>
 #include <set>
+#include <string>
 
+#include "common/artifact.hpp"
 #include "common/rng.hpp"
 #include "common/time.hpp"
 
@@ -126,6 +132,29 @@ TEST(Rng, ForkProducesIndependentStream) {
   int same = 0;
   for (int i = 0; i < 100; ++i) same += (child.next_u64() == a.next_u64());
   EXPECT_LT(same, 5);
+}
+
+TEST(WriteArtifact, CreatesMissingParentDirectories) {
+  const std::filesystem::path root =
+      std::filesystem::temp_directory_path() / "paraleon_artifact_mkdir";
+  std::filesystem::remove_all(root);
+  const std::filesystem::path file = root / "a" / "b" / "x.json";
+  ASSERT_TRUE(write_artifact(file.string(), "{}\n"));
+  std::ifstream in(file);
+  EXPECT_EQ(std::string(std::istreambuf_iterator<char>(in), {}), "{}\n");
+  std::filesystem::remove_all(root);
+}
+
+// A parent that is a regular file cannot become a directory, even for
+// root (chmod-based denials do not stop root).
+TEST(WriteArtifact, FailsWhenParentIsARegularFile) {
+  const std::filesystem::path blocker =
+      std::filesystem::temp_directory_path() / "paraleon_artifact_blocker";
+  std::filesystem::remove_all(blocker);
+  ASSERT_TRUE(write_artifact(blocker.string(), "not a directory"));
+  EXPECT_FALSE(write_artifact((blocker / "x.json").string(), "{}"));
+  EXPECT_FALSE(write_artifact((blocker / "sub" / "x.json").string(), "{}"));
+  std::filesystem::remove_all(blocker);
 }
 
 }  // namespace

@@ -230,8 +230,12 @@ TEST(CsvExport, FlowsSkipUnfinished) {
 }
 
 TEST(CsvExport, FailsOnBadPath) {
-  EXPECT_FALSE(
-      stats::write_timeseries_csv("/nonexistent/dir/x.csv", {}));
+  // The writer creates missing directories, so a bad path is one whose
+  // parent is a regular file.
+  const std::string blocker = "/tmp/paraleon_test_csv_blocker";
+  ASSERT_TRUE(stats::write_timeseries_csv(blocker, {}));
+  EXPECT_FALSE(stats::write_timeseries_csv(blocker + "/x.csv", {}));
+  std::remove(blocker.c_str());
 }
 
 TEST(SweepSeeds, Aggregates) {
