@@ -95,11 +95,9 @@ inline std::string scaling_note(const ExperimentConfig& cfg,
 /// `--replay-flight BUNDLE_DIR` re-runs a bundle's seed with all tracing
 /// on instead of the bench's normal run.
 ///
-/// Parallel-execution flags: `--jobs N` sets the thread-pool worker count
-/// benches pass to exec::parallel_map (0 = one per hardware thread,
-/// default 1 = serial), `--sweep N` asks a sweep-capable bench (fig8) to
-/// run N seeds serial-then-parallel and verify the digests match, and
-/// `--sweep-out FILE` writes that comparison as a JSON artifact.
+/// Parallel-execution flag: `--jobs N` sets the thread-pool worker count
+/// benches pass to exec::parallel_map and the grid runner (0 = one per
+/// hardware thread, default 1 = serial).
 ///
 /// Perf-trend flags: `--perf` enables the event-loop PerfMonitor
 /// (obs::PerfMonitor counters in the run's "perf" report section), and
@@ -107,15 +105,12 @@ inline std::string scaling_note(const ExperimentConfig& cfg,
 /// `paraleon.bench.v1` JSON document — the shape the committed
 /// BENCH_*.json baselines use and tools/bench_trend.py compares.
 ///
-/// Fleet-observatory flag: `--fleet-out FILE` makes a sweep-capable bench
-/// write the sweep's `paraleon.fleet.v1` report (per-seed digest table,
-/// cross-run aggregates, worker utilization) to FILE plus the merged
-/// Perfetto timeline to FILE with a `.timeline.json` suffix.
-///
 /// Scenario-engine flags: `--grid-out FILE` writes the grid run's
-/// `paraleon.grid.v1` document, and `--grid-check` re-runs the grid
+/// `paraleon.grid.v1` document plus the worker-pool Perfetto timeline
+/// next to it (see timeline_path), and `--grid-check` re-runs the grid
 /// serially and byte-compares the deterministic half against the parallel
-/// run (exit nonzero on any difference).
+/// run (exit nonzero on any difference). A seed sweep is a grid with a
+/// `seed` axis (docs/SCENARIOS.md).
 ///
 /// Every flag lives in one table (kObsFlags); parse_obs_cli, strip_obs_cli
 /// and obs_usage all read it.
@@ -129,18 +124,16 @@ struct ObsCli {
   std::string out_dir = ".";
   std::string perf_out;  // empty = no bench-trend artifact
   int jobs = 1;          // parallel_map worker count (0 = hardware)
-  int sweep = 0;         // 0 = no sweep mode requested
-  std::string sweep_out; // empty = print only, no JSON artifact
-  std::string fleet_out; // empty = no fleet report artifact
   std::string grid_out;  // empty = no paraleon.grid.v1 artifact
   bool grid_check = false;  // re-run serially, byte-compare det half
 };
 
-/// The merged-timeline path derived from a `--fleet-out` path: strip one
-/// trailing ".json" and append ".timeline.json".
-inline std::string fleet_timeline_path(const std::string& fleet_out) {
+/// The timeline path written next to a grid document: strip one trailing
+/// ".json" and append ".timeline.json" (x.grid.json ->
+/// x.grid.timeline.json).
+inline std::string timeline_path(const std::string& grid_path) {
   const std::string suffix = ".json";
-  std::string base = fleet_out;
+  std::string base = grid_path;
   if (base.size() > suffix.size() &&
       base.compare(base.size() - suffix.size(), suffix.size(), suffix) == 0) {
     base.resize(base.size() - suffix.size());
@@ -184,9 +177,6 @@ inline constexpr ObsFlag kObsFlags[] = {
        c.perf = true;
        c.perf_out = v;
      }},
-    {"--sweep", "N", [](ObsCli& c, const char* v) { c.sweep = std::atoi(v); }},
-    {"--sweep-out", "FILE", [](ObsCli& c, const char* v) { c.sweep_out = v; }},
-    {"--fleet-out", "FILE", [](ObsCli& c, const char* v) { c.fleet_out = v; }},
     {"--grid-out", "FILE", [](ObsCli& c, const char* v) { c.grid_out = v; }},
     {"--grid-check", nullptr,
      [](ObsCli& c, const char*) { c.grid_check = true; }},
@@ -374,25 +364,20 @@ inline bool write_trend(const ObsCli& cli, const TrendReport& report) {
          emit_artifact("perf", cli.perf_out, report.to_json());
 }
 
-/// Writes the --fleet-out report and its merged Perfetto timeline; false
-/// when either was not written.
-inline bool write_fleet(const ObsCli& cli, const runner::FleetReport& fleet) {
-  return emit_artifact("fleet", cli.fleet_out, fleet.to_json() + "\n") &&
-         emit_artifact("fleet", fleet_timeline_path(cli.fleet_out),
-                       fleet.timeline_json() + "\n");
-}
-
 /// The grid epilogue of every grid front door: writes the paraleon.grid.v1
-/// document to `grid_path` (skipped when empty) and, with --grid-check,
-/// re-runs the grid serially under the same on_config and byte-compares
-/// the deterministic half. Returns the exit code: 0, 1 on a grid-check
-/// mismatch, 2 on a failed write.
+/// document to `grid_path` and the pool timeline to
+/// timeline_path(grid_path) (both skipped when `grid_path` is empty) and,
+/// with --grid-check, re-runs the grid serially under the same on_config
+/// and byte-compares the deterministic half. Returns the exit code: 0, 1
+/// on a grid-check mismatch, 2 on a failed write.
 inline int finish_grid(const ObsCli& cli, const scenario::Scenario& sc,
                        const scenario::GridOptions& opts,
                        const scenario::GridOutcome& grid,
                        const std::string& grid_path) {
   if (!grid_path.empty() &&
-      !emit_artifact("grid", grid_path, grid.to_json())) {
+      (!emit_artifact("grid", grid_path, grid.to_json()) ||
+       !emit_artifact("grid", timeline_path(grid_path),
+                      grid.timeline_json()))) {
     return 2;
   }
   if (!cli.grid_check) return 0;

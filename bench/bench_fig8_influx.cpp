@@ -8,19 +8,17 @@
 //
 // Every mode builds from scenarios/fig8_influx.json: the scheme table runs
 // the file's scheme axis through the scenario engine's GridRunner
-// (`--jobs N` fans the cells out), and the sweep / flight-fault / replay
-// modes run its scheme.name=paraleon cell through the same
+// (`--jobs N` fans the cells out), and the flight-fault / replay modes
+// run its scheme.name=paraleon cell through the same
 // to_experiment_config -> FlowScheduler path. tests/
-// scenario_golden_test.cpp pins the cells' --tiny run_digests.
-#include <chrono>
+// scenario_golden_test.cpp pins the cells' --tiny run_digests. A seed
+// sweep of the paraleon cell is a `seed`-axis grid run by paraleon_run
+// (docs/SCENARIOS.md).
 #include <cstdio>
 #include <memory>
-#include <sstream>
 #include <vector>
 
 #include "bench_common.hpp"
-#include "exec/parallel_sweep.hpp"
-#include "exec/thread_pool.hpp"
 #include "runner/flight.hpp"
 #include "scenario/flow_scheduler.hpp"
 
@@ -32,8 +30,8 @@ namespace {
 
 ObsCli g_cli;
 
-/// The scheme.name=paraleon cell of the fig8 grid: what the sweep,
-/// flight-fault and replay modes run.
+/// The scheme.name=paraleon cell of the fig8 grid: what the flight-fault
+/// and replay modes run.
 scenario::GridCell paraleon_cell(const scenario::Scenario& sc) {
   for (scenario::GridCell& cell : scenario::expand_grid(sc)) {
     if (cell.scenario.scheme.name == "paraleon") return std::move(cell);
@@ -110,124 +108,6 @@ int run_replay(const scenario::GridCell& cell, const std::string& bundle) {
       "0..%lld ns)\n",
       bundle.c_str(), static_cast<long long>(req.trigger_ns),
       static_cast<long long>(req.replay_until_ns));
-  return 0;
-}
-
-/// --sweep N: run the fig8 PARALEON configuration over N seeds twice —
-/// once serial (jobs=1), once on the thread pool (--jobs, <=1 meaning one
-/// worker per hardware thread) — verify the per-seed run_digests are
-/// byte-identical, and report both wall-clocks. With --sweep-out FILE the
-/// comparison lands as a JSON artifact (the CI bench job archives it);
-/// with --fleet-out FILE the parallel leg is additionally scraped into a
-/// paraleon.fleet.v1 report plus the merged Perfetto timeline, and with
-/// --perf-out FILE the sweep's wall economics land as a paraleon.bench.v1
-/// document (the ungated sweep_* rows of BENCH_fig8.json).
-/// Exit nonzero on any digest mismatch: the determinism contract of
-/// docs/PARALLELISM.md, checked on the real bench workload.
-int run_sweep(const scenario::GridCell& cell, int n) {
-  std::vector<std::uint64_t> seeds;
-  for (int i = 0; i < n; ++i) seeds.push_back(100 + static_cast<unsigned>(i));
-  const auto make = [&cell](std::uint64_t seed) {
-    ExperimentConfig cfg = cell_config(cell);
-    cfg.seed = seed;
-    return build(cell, std::move(cfg));
-  };
-  const auto metric = [](Experiment& exp) {
-    return exp.throughput_series().mean_in(0, exp.config().duration);
-  };
-  const bool want_fleet = !g_cli.fleet_out.empty();
-  const bool instrument = want_fleet || !g_cli.perf_out.empty();
-  obs::PoolTelemetry pool;
-  const auto timed = [&](int jobs, bool observe) {
-    exec::ParallelSweepConfig scfg;
-    scfg.jobs = jobs;
-    scfg.collect_obs = observe && want_fleet;
-    scfg.telemetry = observe ? &pool : nullptr;
-    const auto t0 = std::chrono::steady_clock::now();
-    exec::SweepOutcome out = exec::sweep_experiments(seeds, make, metric, scfg);
-    const std::chrono::duration<double> dt =
-        std::chrono::steady_clock::now() - t0;
-    return std::make_pair(std::move(out), dt.count());
-  };
-
-  const int par_jobs = g_cli.jobs <= 1 ? 0 : g_cli.jobs;
-  std::printf("# sweep: %d seeds, serial then jobs=%d (0 = hardware)\n", n,
-              par_jobs);
-  const auto [serial, serial_s] = timed(1, false);
-  const auto [parallel, parallel_s] = timed(par_jobs, instrument);
-
-  bool match = serial.runs.size() == parallel.runs.size();
-  for (std::size_t i = 0; match && i < serial.runs.size(); ++i) {
-    match = serial.runs[i].seed == parallel.runs[i].seed &&
-            serial.runs[i].digest == parallel.runs[i].digest;
-  }
-  const double speedup = parallel_s > 0.0 ? serial_s / parallel_s : 0.0;
-  std::printf("# sweep: serial %.2fs, parallel %.2fs (%.2fx), digests %s\n",
-              serial_s, parallel_s, speedup, match ? "MATCH" : "MISMATCH");
-
-  if (!g_cli.sweep_out.empty()) {
-    std::ostringstream f;
-    f << "{\n  \"bench\": \"fig8_sweep\",\n";
-    f << "  \"seeds\": " << n << ",\n";
-    f << "  \"jobs\": " << par_jobs << ",\n";
-    f << "  \"hardware_workers\": " << exec::ThreadPool::hardware_workers()
-      << ",\n";
-    f << "  \"serial_seconds\": " << serial_s << ",\n";
-    f << "  \"parallel_seconds\": " << parallel_s << ",\n";
-    f << "  \"speedup\": " << speedup << ",\n";
-    f << "  \"digests_match\": " << (match ? "true" : "false") << ",\n";
-    f << "  \"runs\": [";
-    for (std::size_t i = 0; i < serial.runs.size(); ++i) {
-      f << (i ? "," : "") << "\n    {\"seed\": " << serial.runs[i].seed
-        << ", \"value\": " << serial.runs[i].value << ", \"digest\": \""
-        << std::hex << serial.runs[i].digest << std::dec << "\"}";
-    }
-    f << "\n  ]\n}\n";
-    if (!emit_artifact("sweep", g_cli.sweep_out, f.str())) return 2;
-  }
-
-  // Worker utilization of the instrumented parallel leg: busy time over
-  // workers x wall window (100% = every worker busy for the whole sweep).
-  double busy_s = 0.0;
-  double util_pct = 0.0;
-  if (instrument) {
-    for (const auto& w : pool.worker_stats()) {
-      busy_s += static_cast<double>(w.busy_ns) / 1e9;
-    }
-    const double denom =
-        static_cast<double>(pool.workers()) * pool.wall_seconds();
-    util_pct = denom > 0.0 ? busy_s / denom * 100.0 : 0.0;
-    std::printf("# sweep: %d workers, %.1f%% busy, %llu jobs\n",
-                pool.workers(), util_pct,
-                static_cast<unsigned long long>(pool.jobs_completed()));
-  }
-
-  if (want_fleet) {
-    runner::FleetReport fleet("fig8_sweep");
-    fleet.set_sweep_shape(seeds.size(), par_jobs,
-                          exec::ThreadPool::hardware_workers());
-    for (const auto& r : parallel.runs) {
-      fleet.add_run(r.seed, r.digest, r.value, r.scrape);
-    }
-    fleet.set_pool(&pool);
-    if (!write_fleet(g_cli, fleet)) return 2;
-  }
-
-  if (!g_cli.perf_out.empty()) {
-    TrendReport trend("fig8_influx");
-    trend.add("sweep_serial_seconds", serial_s, "s");
-    trend.add("sweep_parallel_seconds", parallel_s, "s");
-    trend.add("sweep_speedup", speedup, "x");
-    trend.add("sweep_worker_utilization_pct", util_pct, "%");
-    if (!write_trend(g_cli, trend)) return 2;
-  }
-
-  if (!match) {
-    std::fprintf(stderr,
-                 "sweep: parallel digests diverged from serial — the "
-                 "determinism contract is broken\n");
-    return 1;
-  }
   return 0;
 }
 
@@ -362,7 +242,6 @@ int main(int argc, char** argv) {
       return run_replay(paraleon_cell(sc), g_cli.replay_bundle);
     }
     if (g_cli.flight_fault) return run_flight_fault(paraleon_cell(sc));
-    if (g_cli.sweep > 0) return run_sweep(paraleon_cell(sc), g_cli.sweep);
     return run_scenario_table(sc);
   } catch (const scenario::ScenarioError& e) {
     std::fprintf(stderr, "scenario error: %s\n", e.what());

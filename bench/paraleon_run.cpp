@@ -8,11 +8,11 @@
 // anomaly bundles, --perf event-loop economics). A scenario WITH a sweep
 // runs the whole cross-product through the GridRunner and writes one
 // paraleon.grid.v1 document (default <obs-out>/<name>.grid.json, override
-// with --grid-out); --grid-check re-runs the grid serially and
-// byte-compares the deterministic half, --fleet-out renders the cell
-// table as a paraleon.fleet.v1 report (rows keyed by cell index) plus the
-// merged Perfetto timeline, and --perf-out writes a paraleon.bench.v1
-// document with the grid's wall time and per-cell metric values.
+// with --grid-out) plus the worker-pool Perfetto timeline next to it
+// (<name>.grid.timeline.json); --grid-check re-runs the grid serially and
+// byte-compares the deterministic half, and --perf-out writes a
+// paraleon.bench.v1 document with the grid's wall time and per-cell
+// metric values. A seed sweep is a grid with a `seed` axis.
 // Per-run artifacts (--trace/--flight) are rejected in grid mode: cells
 // run concurrently and would collide on the output files.
 #include <cstdio>
@@ -20,7 +20,6 @@
 #include <string>
 
 #include "bench_common.hpp"
-#include "exec/thread_pool.hpp"
 #include "scenario/grid_runner.hpp"
 
 using namespace paraleon;
@@ -36,21 +35,10 @@ int usage(const char* argv0) {
       stderr,
       "usage: %s SCENARIO.json [--tiny] [--jobs N] [--obs-out DIR]\n"
       "       [--trace] [--flight] [--perf] [--perf-out FILE]\n"
-      "       [--grid-out FILE] [--grid-check] [--fleet-out FILE]\n"
+      "       [--grid-out FILE] [--grid-check]\n"
       "See docs/SCENARIOS.md for the scenario schema and grid semantics.\n",
       argv0);
   return 2;
-}
-
-/// Renders a cell's coordinates as "key=value key=value" for the console.
-std::string coords_label(const scenario::GridCell& cell) {
-  std::string out;
-  for (const auto& [key, value] : cell.coords) {
-    if (!out.empty()) out += " ";
-    out += key + "=";
-    out += value.is_string() ? value.as_string() : value.dump();
-  }
-  return out.empty() ? std::string("-") : out;
 }
 
 int run_single(const scenario::Scenario& sc) {
@@ -117,24 +105,11 @@ int run_grid_mode(const scenario::Scenario& sc) {
   for (std::size_t i = 0; i < grid.results().size(); ++i) {
     const scenario::CellResult& r = grid.results()[i];
     std::printf("%-5zu %-44s %14.4f %18llx\n", r.index,
-                coords_label(grid.cells()[i]).c_str(), r.value,
+                grid.cells()[i].coords_label().c_str(), r.value,
                 static_cast<unsigned long long>(r.digest));
   }
   std::printf("# grid: %zu cells in %.2fs wall (jobs=%d)\n",
               grid.results().size(), grid_seconds, g_cli.jobs);
-
-  if (!g_cli.fleet_out.empty()) {
-    // Cell table as a fleet report: rows keyed by CELL INDEX (cells share
-    // the scenario seed, and fleet rows key on the seed column).
-    runner::FleetReport fleet(sc.name);
-    fleet.set_sweep_shape(grid.results().size(), g_cli.jobs,
-                          exec::ThreadPool::hardware_workers());
-    for (const auto& r : grid.results()) {
-      fleet.add_run(r.index, r.digest, r.value, r.scrape);
-    }
-    fleet.set_pool(&pool);
-    if (!write_fleet(g_cli, fleet)) return 2;
-  }
 
   TrendReport trend(sc.name);
   trend.add("grid_wall_seconds", grid_seconds, "s");

@@ -2,16 +2,16 @@
 //
 // The pool is deliberately minimal: a bounded set of workers draining one
 // FIFO queue. Determinism comes from the layer above — jobs are pure
-// functions of their inputs (each sweep job owns a whole Experiment), and
+// functions of their inputs (each grid cell owns a whole Experiment), and
 // JobSet returns results in submission order, so the output of a parallel
 // run is a pure function of what was submitted, never of how the OS
 // scheduled the workers.
 //
 // A pool can report into an obs::PoolTelemetry (the fleet observatory):
 // each worker has a stable index, each job a pool-wide submission id, and
-// the pool calls the telemetry hooks around every job so the fleet report
+// the pool calls the telemetry hooks around every job so the grid document
 // can reconstruct per-worker utilization, queue-wait latency, and a
-// merged sweep timeline. The hooks are out-of-line calls into
+// merged grid timeline. The hooks are out-of-line calls into
 // obs/fleet.cpp — this header performs no clock reads itself, keeping the
 // wall-clock lint waiver confined to that TU. A null telemetry pointer
 // costs one predictable branch per job.

@@ -22,7 +22,7 @@
 // Two caveats: (1) one Experiment instance is NOT itself
 // thread-safe — drive it from one thread; (2) a run that *writes files*
 // (an armed flight recorder) needs per-run output directories to avoid
-// colliding on the filesystem. exec::ParallelSweep and exec::ShadowFleet
+// colliding on the filesystem. scenario::run_grid and exec::ShadowFleet
 // build on exactly this invariant; tests/exec_test.cpp and the TSan CI
 // job enforce it.
 #pragma once

@@ -26,6 +26,23 @@ Json slowdown_json(const stats::FctTracker::SlowdownStats& s) {
   return j;
 }
 
+/// A wall-clock offset (ns from the telemetry epoch) as Chrome's `ts`
+/// unit, microseconds.
+Json micros(std::int64_t ns) {
+  return Json::make_number(static_cast<double>(ns < 0 ? 0 : ns) / 1e3);
+}
+
+/// One trace event of the grid timeline (pid 0, category "grid").
+Json trace_event(const std::string& name, const char* ph, std::int64_t tid) {
+  Json ev = Json::make_object();
+  ev.set("name", Json::make_string(name));
+  ev.set("cat", Json::make_string("grid"));
+  ev.set("ph", Json::make_string(ph));
+  ev.set("pid", Json::make_int(0));
+  ev.set("tid", Json::make_int(tid));
+  return ev;
+}
+
 Json aggregate_json(const runner::FleetAggregate& a) {
   Json j = Json::make_object();
   j.set("min", Json::make_number(a.min));
@@ -37,6 +54,16 @@ Json aggregate_json(const runner::FleetAggregate& a) {
 }
 
 }  // namespace
+
+std::string GridCell::coords_label() const {
+  std::string out;
+  for (const auto& [key, value] : coords) {
+    if (!out.empty()) out += " ";
+    out += key + "=";
+    out += value.is_string() ? value.as_string() : value.dump();
+  }
+  return out.empty() ? std::string("-") : out;
+}
 
 std::vector<GridCell> expand_grid(const Scenario& base) {
   const auto& axes = base.sweep;
@@ -232,8 +259,81 @@ std::string GridOutcome::to_json(bool include_wall) const {
                                      pool_->jobs_completed())));
       wall.set("pool", std::move(pool));
     }
+    Json stragglers = Json::make_array();
+    if (pool_ != nullptr) {
+      for (const auto& s : runner::find_stragglers(pool_->spans(), 2.0)) {
+        Json row = Json::make_object();
+        row.set("cell", Json::make_int(static_cast<std::int64_t>(s.job)));
+        row.set("z", Json::make_number(s.z));
+        row.set("seconds", Json::make_number(s.seconds));
+        stragglers.push_back(std::move(row));
+      }
+    }
+    wall.set("stragglers", std::move(stragglers));
     doc.set("wall", std::move(wall));
   }
+  return doc.dump() + "\n";
+}
+
+std::string GridOutcome::timeline_json() const {
+  // Track naming: pid 0 is the grid, tid 0 the submitting thread, tid
+  // w+1 worker w.
+  Json events = Json::make_array();
+  const auto name_track = [&events](const char* what, std::int64_t tid,
+                                    const std::string& name) {
+    Json ev = trace_event(what, "M", tid);
+    Json args = Json::make_object();
+    args.set("name", Json::make_string(name));
+    ev.set("args", std::move(args));
+    events.push_back(std::move(ev));
+  };
+  name_track("process_name", 0, "grid:" + name_);
+  name_track("thread_name", 0, "submit");
+  const int workers = pool_ == nullptr ? 0 : pool_->workers();
+  for (int w = 0; w < workers; ++w) {
+    name_track("thread_name", w + 1, "worker " + std::to_string(w));
+  }
+
+  const std::vector<obs::JobSpan> spans =
+      pool_ == nullptr ? std::vector<obs::JobSpan>{} : pool_->spans();
+  for (const auto& s : spans) {
+    const auto id = static_cast<std::int64_t>(s.job);
+    if (s.submit_ns >= 0 && s.start_ns >= 0) {
+      // Flow arrow: submission ('s' on the submit track) to execution
+      // ('f' on the worker track, binding point "e" = enclosing slice).
+      Json ev = trace_event("dispatch", "s", 0);
+      ev.set("id", Json::make_int(id));
+      ev.set("ts", micros(s.submit_ns));
+      events.push_back(std::move(ev));
+    }
+    if (s.start_ns < 0 || s.end_ns < s.start_ns) continue;
+    const std::int64_t tid = s.worker < 0 ? 0 : s.worker + 1;
+    std::string label = "job " + std::to_string(s.job);
+    if (s.job < cells_.size()) {
+      label = "cell " + std::to_string(s.job) + " " +
+              cells_[s.job].coords_label();
+    }
+    Json span = trace_event(label, "X", tid);
+    span.set("ts", micros(s.start_ns));
+    span.set("dur", micros(s.end_ns - s.start_ns));
+    Json args = Json::make_object();
+    args.set("cell", Json::make_int(id));
+    args.set("queue_wait_us",
+             micros(s.submit_ns >= 0 ? s.start_ns - s.submit_ns : 0));
+    span.set("args", std::move(args));
+    events.push_back(std::move(span));
+    if (s.submit_ns >= 0) {
+      Json fin = trace_event("dispatch", "f", tid);
+      fin.set("bp", Json::make_string("e"));
+      fin.set("id", Json::make_int(id));
+      fin.set("ts", micros(s.start_ns));
+      events.push_back(std::move(fin));
+    }
+  }
+
+  Json doc = Json::make_object();
+  doc.set("displayTimeUnit", Json::make_string("ms"));
+  doc.set("traceEvents", std::move(events));
   return doc.dump() + "\n";
 }
 

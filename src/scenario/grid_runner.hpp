@@ -1,14 +1,17 @@
 // GridRunner: expands a scenario's sweep section into its cross-product
 // of cells and runs every cell through exec::parallel_map, producing one
-// paraleon.grid.v1 document.
+// paraleon.grid.v1 document. It is the one way to run many experiments:
+// a seed sweep is a grid with a `seed` axis.
 //
-// Determinism contract (the same split paraleon.bench.v1 / fleet.v1 use):
+// Determinism contract (the same split paraleon.bench.v1 uses):
 // the deterministic half — per-cell seed, run_digest, metric value, scrape
 // and the aggregates over them — is byte-identical at any --jobs setting
 // (jobs<=1 is exec::parallel_map's exact serial path; cells never share
 // state). The requested job count, pool utilization and wall seconds live
 // only under the "wall" subtree, which to_json(false) omits entirely — the
 // form the grid determinism test byte-compares across worker counts.
+// timeline_json() renders the same pool spans as a Chrome trace (a track
+// per worker, a span per cell) for https://ui.perfetto.dev.
 //
 // Cell enumeration is row-major with the FIRST axis slowest: fig13's
 // scheme x workers axes give scheme-outer / scale-inner rows.
@@ -34,6 +37,10 @@ struct GridCell {
   std::size_t index = 0;
   std::vector<Json::Member> coords;
   Scenario scenario;
+
+  /// The coordinates as "key=value key=value" ("-" when there are
+  /// none), string values unquoted.
+  std::string coords_label() const;
 };
 
 /// The deterministic facts of one finished cell.
@@ -49,7 +56,9 @@ struct GridOptions {
   /// Worker threads for the cell fan-out; <=1 is the exact serial path,
   /// 0 means one per hardware core.
   int jobs = 1;
-  /// Observes the pool that runs the cells (wall half of the report).
+  /// Observes the pool that runs the cells (wall half of the document and
+  /// the timeline). Use a fresh telemetry per run_grid call: pool job i
+  /// is read as cell i.
   obs::PoolTelemetry* telemetry = nullptr;
   /// Last-mile config hook, applied after the scenario's own mapping,
   /// before the Experiment is built — how the benches layer their
@@ -81,14 +90,22 @@ class GridOutcome {
   void set_wall_seconds(double s) { wall_seconds_ = s; }
   double wall_seconds() const { return wall_seconds_; }
 
-  /// min/mean/p95/max over every scraped instrument plus metric_value,
-  /// events_executed and the fct.* summary — same reserved names as the
-  /// fleet report.
+  /// min/mean/p95/max over every scraped instrument plus the reserved
+  /// names metric_value, events_executed, fct.finished and
+  /// fct.slowdown_mean / _p95 / _p999.
   std::map<std::string, runner::FleetAggregate> aggregates() const;
 
   /// The paraleon.grid.v1 document. include_wall=false omits the "wall"
-  /// subtree — byte-deterministic at any job count.
+  /// subtree — byte-deterministic at any job count. The wall subtree
+  /// carries the pool's utilization and its z-score stragglers (cells
+  /// whose wall time sits over 2 standard deviations above the mean).
   std::string to_json(bool include_wall = true) const;
+
+  /// One Chrome-trace JSON of the pool: a metadata-named track per
+  /// worker plus a "submit" track, an 'X' span per cell (named by index
+  /// and coords), and an 's'->'f' flow arrow from each submission to its
+  /// execution. Without a pool (jobs <= 1) only the track header.
+  std::string timeline_json() const;
 
  private:
   std::string name_;

@@ -4,6 +4,7 @@
 #include <fstream>
 #include <sstream>
 
+#include "dcqcn/params.hpp"
 #include "workload/size_distribution.hpp"
 
 namespace paraleon::scenario {
@@ -525,6 +526,111 @@ const std::vector<ParamEntry>& param_table() {
   return table;
 }
 
+/// Applies one scheme.params override (its key already validated).
+void apply_param(runner::ExperimentConfig& cfg, const std::string& key,
+                 const Json& value) {
+  for (const auto& entry : param_table()) {
+    if (key == entry.key) {
+      entry.apply(cfg, value, "scheme.params." + key);
+      return;
+    }
+  }
+}
+
+/// Every clampable dcqcn.* field, read back in its override key's units.
+struct DcqcnField {
+  const char* key;
+  double (*read)(const dcqcn::DcqcnParams&);
+};
+
+constexpr DcqcnField kDcqcnFields[] = {
+    {"dcqcn.ai_rate_mbps",
+     [](const dcqcn::DcqcnParams& p) { return to_mbps(p.ai_rate); }},
+    {"dcqcn.alpha_update_period_us",
+     [](const dcqcn::DcqcnParams& p) { return to_us(p.alpha_update_period); }},
+    {"dcqcn.g", [](const dcqcn::DcqcnParams& p) { return p.g; }},
+    {"dcqcn.hai_rate_mbps",
+     [](const dcqcn::DcqcnParams& p) { return to_mbps(p.hai_rate); }},
+    {"dcqcn.initial_alpha",
+     [](const dcqcn::DcqcnParams& p) { return p.initial_alpha; }},
+    {"dcqcn.kmax_kb",
+     [](const dcqcn::DcqcnParams& p) {
+       return static_cast<double>(p.kmax_bytes) / 1024.0;
+     }},
+    {"dcqcn.kmin_kb",
+     [](const dcqcn::DcqcnParams& p) {
+       return static_cast<double>(p.kmin_bytes) / 1024.0;
+     }},
+    {"dcqcn.min_rate_mbps",
+     [](const dcqcn::DcqcnParams& p) { return to_mbps(p.min_rate); }},
+    {"dcqcn.min_time_between_cnps_us",
+     [](const dcqcn::DcqcnParams& p) {
+       return to_us(p.min_time_between_cnps);
+     }},
+    {"dcqcn.pmax", [](const dcqcn::DcqcnParams& p) { return p.pmax; }},
+    {"dcqcn.rate_reduce_monitor_period_us",
+     [](const dcqcn::DcqcnParams& p) {
+       return to_us(p.rate_reduce_monitor_period);
+     }},
+    {"dcqcn.rpg_byte_reset",
+     [](const dcqcn::DcqcnParams& p) {
+       return static_cast<double>(p.rpg_byte_reset);
+     }},
+    {"dcqcn.rpg_threshold",
+     [](const dcqcn::DcqcnParams& p) {
+       return static_cast<double>(p.rpg_threshold);
+     }},
+    {"dcqcn.rpg_time_reset_us",
+     [](const dcqcn::DcqcnParams& p) { return to_us(p.rpg_time_reset); }},
+};
+
+/// Rejects any dcqcn.* override that dcqcn::clamp_to_legal — the range
+/// the SA tuner is held to — would move. The overrides are laid over a
+/// clamped copy of the base setting, so only the file's values can trip
+/// the check (the rescaled default may itself sit outside the range). A
+/// field the file did not set moves only through the kmin/kmax marking
+/// ramp, so the error then names the ECN threshold the file did set.
+void check_dcqcn_overrides(const Scenario& sc,
+                           const runner::ExperimentConfig& cfg) {
+  std::vector<const Json::Member*> overrides;
+  for (const Json::Member& m : sc.scheme.params) {
+    if (m.first.rfind("dcqcn.", 0) == 0) overrides.push_back(&m);
+  }
+  if (overrides.empty()) return;
+  const Rate line_rate = cfg.clos.host_link;
+  const std::int64_t buffer = cfg.clos.switch_cfg.buffer_bytes;
+  runner::ExperimentConfig probe;
+  probe.custom_params = runner::initial_params_for(
+      runner::Scheme::kDefaultStatic, line_rate);
+  dcqcn::clamp_to_legal(probe.custom_params, line_rate, buffer);
+  for (const Json::Member* m : overrides) {
+    apply_param(probe, m->first, m->second);
+  }
+  dcqcn::DcqcnParams legal = probe.custom_params;
+  dcqcn::clamp_to_legal(legal, line_rate, buffer);
+  const auto is_set = [&overrides](const std::string& key) {
+    return std::any_of(
+        overrides.begin(), overrides.end(),
+        [&key](const Json::Member* m) { return m->first == key; });
+  };
+  for (const DcqcnField& f : kDcqcnFields) {
+    const double got = f.read(probe.custom_params);
+    const double want = f.read(legal);
+    if (got == want) continue;
+    std::string culprit = f.key;
+    if (culprit == "dcqcn.kmin_kb" && !is_set(culprit)) {
+      culprit = "dcqcn.kmax_kb";
+    } else if (culprit == "dcqcn.kmax_kb" && !is_set(culprit)) {
+      culprit = "dcqcn.kmin_kb";
+    }
+    throw ScenarioError(
+        "scheme.params." + culprit + ": outside the legal DCQCN range — "
+        "dcqcn::clamp_to_legal moves " + f.key + " from " +
+        Json::make_number(got).dump() + " to " +
+        Json::make_number(want).dump());
+  }
+}
+
 // ---------------------------------------------------------------------
 // Dotted patching
 // ---------------------------------------------------------------------
@@ -565,6 +671,10 @@ void patch_node(Json& node, const std::string& full,
     return;
   }
   const std::string head = path.substr(0, dot);
+  if (head == "params" && !node.has(head)) {
+    // scheme.params holds flat dotted keys; a patch may add the first.
+    node.set(head, Json::make_object());
+  }
   if (Json* child = node.find(head)) {
     patch_node(*child, full, path.substr(dot + 1), value);
     return;
@@ -801,13 +911,9 @@ runner::ExperimentConfig to_experiment_config(const Scenario& sc) {
         runner::Scheme::kDefaultStatic, cfg.clos.host_link);
   }
   for (const auto& [key, value] : sc.scheme.params) {
-    for (const auto& entry : param_table()) {
-      if (key == entry.key) {
-        entry.apply(cfg, value, "scheme.params." + key);
-        break;
-      }
-    }
+    apply_param(cfg, key, value);
   }
+  check_dcqcn_overrides(sc, cfg);
   cfg.duration = milliseconds(sc.duration_ms);
   cfg.seed = sc.seed;
   return cfg;

@@ -191,6 +191,8 @@ runner::Scheme scheme_from_name(const std::string& name);
 
 /// Builds the full ExperimentConfig: topology generator, scheme, paper
 /// defaults, then the scenario's parameter overrides, duration and seed.
+/// Throws ScenarioError naming the key when a dcqcn.* override lies
+/// outside the range dcqcn::clamp_to_legal holds the SA tuner to.
 runner::ExperimentConfig to_experiment_config(const Scenario& sc);
 
 /// Evaluates the scenario's headline metric on a finished run.

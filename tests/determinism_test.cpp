@@ -4,14 +4,12 @@
 // without perturbing.
 #include <gtest/gtest.h>
 
-#include <memory>
 #include <string>
 #include <vector>
 
 #include "check/invariant_checker.hpp"
 #include "core/param_space.hpp"
 #include "core/sa_tuner.hpp"
-#include "exec/parallel_sweep.hpp"
 #include "exec/shadow_fleet.hpp"
 #include "obs/episode_log.hpp"
 #include "runner/experiment.hpp"
@@ -218,51 +216,6 @@ TEST(Determinism, TracingIsObservationOnly) {
     return out;
   };
   EXPECT_EQ(run(false), run(true));
-}
-
-// ---- parallel execution determinism ----
-
-exec::SweepOutcome digest_sweep(int jobs) {
-  exec::ParallelSweepConfig scfg;
-  scfg.jobs = jobs;
-  return exec::sweep_experiments(
-      {101, 102, 103, 104},
-      [](std::uint64_t seed) {
-        ExperimentConfig cfg = base_config(Scheme::kParaleon, seed);
-        cfg.duration = milliseconds(10);
-        auto exp = std::make_unique<Experiment>(std::move(cfg));
-        workload::PoissonConfig w;
-        w.hosts = exp->all_hosts();
-        w.sizes = &workload::solar_rpc_distribution();
-        w.load = 0.4;
-        w.stop = milliseconds(8);
-        w.seed = seed;
-        exp->add_poisson(w);
-        return exp;
-      },
-      [](Experiment& exp) {
-        return static_cast<double>(exp.fct().finished());
-      },
-      scfg);
-}
-
-TEST(Determinism, ParallelSweepDigestsByteIdenticalAcrossWorkerCounts) {
-  // The tentpole contract: a sweep's per-seed run_digests are a pure
-  // function of the seeds, whatever the worker count. jobs=1 is the old
-  // serial for-loop; 2 and 8 exercise real pools (8 > seed count forces
-  // the more-workers-than-jobs path).
-  const auto serial = digest_sweep(1);
-  ASSERT_EQ(serial.runs.size(), 4u);
-  for (const int jobs : {2, 8}) {
-    const auto parallel = digest_sweep(jobs);
-    ASSERT_EQ(parallel.runs.size(), serial.runs.size());
-    for (std::size_t i = 0; i < serial.runs.size(); ++i) {
-      EXPECT_EQ(parallel.runs[i].seed, serial.runs[i].seed);
-      EXPECT_DOUBLE_EQ(parallel.runs[i].value, serial.runs[i].value);
-      EXPECT_EQ(parallel.runs[i].digest, serial.runs[i].digest)
-          << "jobs=" << jobs << " seed=" << serial.runs[i].seed;
-    }
-  }
 }
 
 exec::ShadowWindow shadow_window() {

@@ -29,14 +29,6 @@ std::string pack_path(const std::string& file) {
   return std::string(PARALEON_SCENARIO_DIR) + "/" + file;
 }
 
-std::string coords_label(const GridCell& cell) {
-  std::string out;
-  for (const auto& [key, value] : cell.coords) {
-    out += (out.empty() ? "" : " ") + key + "=" + value.dump();
-  }
-  return out;
-}
-
 /// Runs the listed --tiny cells (row-major cell index -> golden digest)
 /// of one committed scenario file and compares their run_digests.
 void expect_golden(
@@ -48,7 +40,7 @@ void expect_golden(
     ASSERT_LT(index, cells.size()) << file;
     const std::uint64_t got = run_cell(cells[index], {}).digest;
     EXPECT_EQ(got, digest) << file << " cell " << index << " ("
-                           << coords_label(cells[index])
+                           << cells[index].coords_label()
                            << ") moved its run_digest to " << std::hex
                            << got;
   }

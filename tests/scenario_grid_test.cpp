@@ -1,10 +1,15 @@
 // GridRunner: sweep expansion (row-major, first axis slowest), the
-// jobs-invariant deterministic half of paraleon.grid.v1, and the
-// committed scenario pack staying parseable in both full and tiny form.
+// jobs-invariant deterministic half of paraleon.grid.v1 (a seed sweep is
+// a `seed`-axis grid), the pool timeline and stragglers of the wall half,
+// and the committed scenario pack staying parseable in both full and tiny
+// form.
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <map>
+#include <set>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "scenario/grid_runner.hpp"
@@ -81,6 +86,27 @@ TEST(ExpandGrid, AxisOverAnUnknownKeyFailsWithSuggestion) {
   }
 }
 
+TEST(ExpandGrid, SchemeParamsAxisPatchesEachCell) {
+  Scenario sc = parse_scenario_text(R"({
+    "name": "p",
+    "scheme": {"name": "paraleon"},
+    "workload": [{"name": "rpc", "kind": "poisson"}],
+    "sweep": {"axes": [
+      {"key": "scheme.params.controller.sa.total_iter_num", "values": [2, 7]}
+    ]}
+  })");
+  const std::vector<GridCell> cells = expand_grid(sc);
+  ASSERT_EQ(cells.size(), 2u);
+  EXPECT_EQ(to_experiment_config(cells[0].scenario).controller.sa
+                .total_iter_num, 2);
+  EXPECT_EQ(to_experiment_config(cells[1].scenario).controller.sa
+                .total_iter_num, 7);
+  // A flat param is not a top-level key: the axis needs the
+  // scheme.params. prefix.
+  sc.sweep[0].key = "controller.sa.total_iter_num";
+  EXPECT_THROW(expand_grid(sc), ScenarioError);
+}
+
 TEST(RunGrid, DeterministicHalfIsJobsInvariant) {
   const Scenario sc = grid_scenario();
   GridOptions serial;
@@ -100,6 +126,40 @@ TEST(RunGrid, DeterministicHalfIsJobsInvariant) {
   }
   // Different scheme/load cells are genuinely different runs.
   EXPECT_NE(four.results()[0].digest, four.results()[3].digest);
+}
+
+/// A seed sweep: one `seed` axis over four seeds.
+Scenario seed_scenario() {
+  return parse_scenario_text(R"({
+    "name": "seeds",
+    "seed": 1,
+    "duration_ms": 5,
+    "topology": {"kind": "dumbbell", "hosts_per_side": 4},
+    "scheme": {"name": "paraleon"},
+    "workload": [{"name": "rpc", "kind": "poisson", "load": 0.3}],
+    "metric": {"name": "flows_finished"},
+    "sweep": {"axes": [{"key": "seed", "values": [101, 102, 103, 104]}]}
+  })");
+}
+
+TEST(RunGrid, SeedAxisSweepIsJobsInvariant) {
+  const GridOutcome serial = run_grid(seed_scenario(), {});
+  ASSERT_EQ(serial.results().size(), 4u);
+  std::set<std::uint64_t> digests;
+  for (std::size_t i = 0; i < 4; ++i) {
+    EXPECT_EQ(serial.cells()[i].scenario.seed, 101u + i);
+    EXPECT_EQ(serial.results()[i].seed, 101u + i);
+    digests.insert(serial.results()[i].digest);
+  }
+  EXPECT_EQ(digests.size(), 4u);  // each seed is a different run
+  // 8 workers > 4 cells exercises the more-workers-than-jobs path.
+  for (const int jobs : {2, 8}) {
+    GridOptions opts;
+    opts.jobs = jobs;
+    EXPECT_EQ(run_grid(seed_scenario(), opts).to_json(false),
+              serial.to_json(false))
+        << "jobs=" << jobs;
+  }
 }
 
 TEST(RunGrid, RunCellReproducesTheGridCell) {
@@ -156,6 +216,79 @@ TEST(GridDoc, AggregatesSummarizeTheCells) {
   EXPECT_LE(agg.at("metric_value").mean, agg.at("metric_value").max);
   ASSERT_TRUE(agg.count("events_executed"));
   EXPECT_GT(agg.at("events_executed").min, 0.0);
+}
+
+std::size_t count_phase(const Json& trace, const std::string& ph) {
+  std::size_t n = 0;
+  for (const Json& ev : trace.find("traceEvents")->items()) {
+    if (ev.find("ph")->as_string() == ph) ++n;
+  }
+  return n;
+}
+
+TEST(GridTimeline, OneTrackPerWorkerAndOneSpanPerCell) {
+  obs::PoolTelemetry pool;
+  GridOptions opts;
+  opts.jobs = 2;
+  opts.telemetry = &pool;
+  const GridOutcome grid = run_grid(grid_scenario(), opts);
+  const Json trace = Json::parse(grid.timeline_json());
+  ASSERT_EQ(pool.workers(), 2);
+  // process_name + the submit track + one thread_name per worker.
+  EXPECT_EQ(count_phase(trace, "M"), 2u + 2u);
+  EXPECT_EQ(count_phase(trace, "X"), 4u);
+  EXPECT_EQ(count_phase(trace, "s"), 4u);
+  EXPECT_EQ(count_phase(trace, "f"), 4u);
+  std::set<std::int64_t> cells;
+  for (const Json& ev : trace.find("traceEvents")->items()) {
+    if (ev.find("ph")->as_string() != "X") continue;
+    const std::int64_t cell = ev.find("args")->find("cell")->as_int64();
+    cells.insert(cell);
+    EXPECT_EQ(ev.find("name")->as_string(),
+              "cell " + std::to_string(cell) + " " +
+                  grid.cells()[static_cast<std::size_t>(cell)].coords_label());
+    EXPECT_GE(ev.find("tid")->as_int64(), 1);
+    EXPECT_LE(ev.find("tid")->as_int64(), 2);
+  }
+  EXPECT_EQ(cells.size(), 4u);
+}
+
+TEST(GridTimeline, WithoutPoolIsJustTheHeader) {
+  const GridOutcome grid = run_grid(grid_scenario(), {});
+  const Json trace = Json::parse(grid.timeline_json());
+  // process_name + the submit track, nothing else.
+  EXPECT_EQ(trace.find("traceEvents")->items().size(), 2u);
+  EXPECT_EQ(count_phase(trace, "X"), 0u);
+}
+
+TEST(GridDoc, WallListsStragglersByCell) {
+  // Synthetic pool: eight instant jobs, one of which (job 5) sleeps, so
+  // its z-score is ~2.6 against the pack.
+  obs::PoolTelemetry pool;
+  pool.attach(1);
+  for (int i = 0; i < 8; ++i) {
+    const std::uint64_t job = pool.on_submit();
+    pool.on_job_start(0, job);
+    if (i == 5) std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    pool.on_job_end(0, job);
+  }
+  pool.detach();
+  GridOutcome grid(grid_scenario(), {}, {});
+  grid.set_wall_shape(1, 1, &pool);
+  const Json doc = Json::parse(grid.to_json(true));
+  const Json* stragglers = doc.find("wall")->find("stragglers");
+  ASSERT_NE(stragglers, nullptr);
+  ASSERT_EQ(stragglers->items().size(), 1u);
+  const Json& s = stragglers->items()[0];
+  ASSERT_EQ(s.members().size(), 3u);
+  EXPECT_EQ(s.find("cell")->as_int64(), 5);
+  EXPECT_GT(s.find("z")->as_double(), 2.0);
+  EXPECT_GE(s.find("seconds")->as_double(), 0.02);
+
+  // Without a pool the list is present and empty.
+  grid.set_wall_shape(1, 1, nullptr);
+  const Json bare = Json::parse(grid.to_json(true));
+  EXPECT_TRUE(bare.find("wall")->find("stragglers")->items().empty());
 }
 
 TEST(ScenarioPack, EveryCommittedFileParsesInBothForms) {

@@ -252,6 +252,35 @@ TEST(ScenarioParse, DcqcnOverridesRequireCustomScheme) {
   EXPECT_EQ(cfg.custom_params.kmin_bytes, 10 * 1024);
 }
 
+TEST(DcqcnOverrides, NegativeKmaxIsRejectedNamingTheKey) {
+  const Scenario sc = parse_scenario_text(minimal(R"("scheme": {
+    "name": "custom",
+    "params": {"dcqcn.kmin_kb": 10, "dcqcn.kmax_kb": -7}
+  })"));
+  const std::string msg = error_of([&sc] { to_experiment_config(sc); });
+  EXPECT_TRUE(contains(msg, "scheme.params.dcqcn.kmax_kb")) << msg;
+  EXPECT_TRUE(contains(msg, "clamp_to_legal")) << msg;
+}
+
+TEST(DcqcnOverrides, KminAboveKmaxIsRejected) {
+  const Scenario both = parse_scenario_text(minimal(R"("scheme": {
+    "name": "custom",
+    "params": {"dcqcn.kmin_kb": 100, "dcqcn.kmax_kb": 50}
+  })"));
+  const std::string msg = error_of([&both] { to_experiment_config(both); });
+  EXPECT_TRUE(contains(msg, "scheme.params.dcqcn.kmax_kb")) << msg;
+
+  // Only kmin set, above the default kmax: the ramp would move the kmax
+  // the file never set, so the error names the kmin it did set.
+  const Scenario kmin_only = parse_scenario_text(minimal(R"("scheme": {
+    "name": "custom",
+    "params": {"dcqcn.kmin_kb": 1000}
+  })"));
+  const std::string only =
+      error_of([&kmin_only] { to_experiment_config(kmin_only); });
+  EXPECT_TRUE(contains(only, "scheme.params.dcqcn.kmin_kb")) << only;
+}
+
 TEST(ScenarioParse, OversubscriptionAndFabricGbpsAreExclusive) {
   const std::string msg = error_of([] {
     parse_scenario_text(R"({
