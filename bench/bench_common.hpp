@@ -1,20 +1,25 @@
-// Shared configuration for the paper-reproduction benches.
+// Shared CLI, reporting and grid plumbing for the paper-reproduction
+// benches.
 //
 // The paper's NS3 fabric is 8 ToR x 4 leaf x 128 hosts, all 100 Gbps, 4:1
 // oversubscribed, 5 us links, 12 MB switch buffers. The benches keep the
-// topology shape and oversubscription but scale to 64 hosts at 10/20 Gbps
+// topology shape and oversubscription but scale to 64 hosts at 10/5 Gbps
 // so every table and figure regenerates on a laptop in minutes. DCQCN
 // presets are rescaled with dcqcn::scaled_for_line_rate (see DESIGN.md).
+// Each experiment is a committed scenarios/*.json file; a bench loads it,
+// runs its grid through run_bench_grid and prints its table.
 #pragma once
 
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <functional>
 #include <map>
 #include <string>
 #include <thread>
 #include <utility>
+#include <vector>
 
 #include "common/artifact.hpp"
 #include "runner/experiment.hpp"
@@ -95,9 +100,9 @@ inline std::string scaling_note(const ExperimentConfig& cfg,
 /// `--replay-flight BUNDLE_DIR` re-runs a bundle's seed with all tracing
 /// on instead of the bench's normal run.
 ///
-/// Parallel-execution flag: `--jobs N` sets the thread-pool worker count
-/// benches pass to exec::parallel_map and the grid runner (0 = one per
-/// hardware thread, default 1 = serial).
+/// Parallel-execution flag: `--jobs N` sets the worker-thread count a
+/// bench fans its runs over (0 = one per hardware thread, default 1 =
+/// serial).
 ///
 /// Perf-trend flags: `--perf` enables the event-loop PerfMonitor
 /// (obs::PerfMonitor counters in the run's "perf" report section), and
@@ -112,8 +117,8 @@ inline std::string scaling_note(const ExperimentConfig& cfg,
 /// run (exit nonzero on any difference). A seed sweep is a grid with a
 /// `seed` axis (docs/SCENARIOS.md).
 ///
-/// Every flag lives in one table (kObsFlags); parse_obs_cli, strip_obs_cli
-/// and obs_usage all read it.
+/// Every flag lives in one table (kObsFlags); strip_obs_cli and obs_usage
+/// both read it.
 struct ObsCli {
   bool trace = false;
   bool tiny = false;
@@ -123,7 +128,7 @@ struct ObsCli {
   std::string replay_bundle;  // empty = no replay requested
   std::string out_dir = ".";
   std::string perf_out;  // empty = no bench-trend artifact
-  int jobs = 1;          // parallel_map worker count (0 = hardware)
+  int jobs = 1;          // worker threads (0 = hardware)
   std::string grid_out;  // empty = no paraleon.grid.v1 artifact
   bool grid_check = false;  // re-run serially, byte-compare det half
 };
@@ -139,18 +144,6 @@ inline std::string timeline_path(const std::string& grid_path) {
     base.resize(base.size() - suffix.size());
   }
   return base + ".timeline.json";
-}
-
-/// Path of a committed scenarios/ file. The bench CMake bakes the repo's
-/// scenarios/ directory in as PARALEON_SCENARIO_DIR so the benches find
-/// their scenario from any build or working directory; the relative
-/// fallback keeps ad-hoc compiles run from the repo root working.
-inline std::string scenario_path(const std::string& file) {
-#ifdef PARALEON_SCENARIO_DIR
-  return std::string(PARALEON_SCENARIO_DIR) + "/" + file;
-#else
-  return "scenarios/" + file;
-#endif
 }
 
 /// One ObsCli flag: its spelling, the value placeholder for flags that
@@ -192,42 +185,35 @@ inline const ObsFlag* match_obs_flag(int argc, char** argv, int i) {
   return nullptr;
 }
 
-/// Reads every ObsCli flag in argv; other arguments are left for the
-/// caller (see strip_obs_cli).
-inline ObsCli parse_obs_cli(int argc, char** argv) {
-  ObsCli cli;
-  for (int i = 1; i < argc; ++i) {
-    const ObsFlag* f = match_obs_flag(argc, argv, i);
-    if (f == nullptr) continue;
-    f->set(cli, f->metavar != nullptr ? argv[++i] : nullptr);
-  }
-  return cli;
-}
-
-/// Removes the ObsCli flags from argv (in place) so they can coexist with
-/// another flag parser — google-benchmark aborts on flags it does not
-/// know. Returns the new argc; anything left past argv[0] is not an
-/// ObsCli flag (a value flag without its value stays too).
-inline int strip_obs_cli(int argc, char** argv) {
+/// Reads every ObsCli flag in argv into `cli` and removes it (in place),
+/// so the flags can coexist with another flag parser — google-benchmark
+/// aborts on flags it does not know. Returns the new argc; anything left
+/// past argv[0] is not an ObsCli flag (a value flag without its value
+/// stays too).
+inline int strip_obs_cli(int argc, char** argv, ObsCli* cli) {
+  *cli = ObsCli{};
   int out = 1;
   for (int i = 1; i < argc; ++i) {
     const ObsFlag* f = match_obs_flag(argc, argv, i);
     if (f == nullptr) {
       argv[out++] = argv[i];
-    } else if (f->metavar != nullptr) {
-      ++i;
+      continue;
     }
+    f->set(*cli, f->metavar != nullptr ? argv[++i] : nullptr);
   }
   for (int i = out; i < argc; ++i) argv[i] = nullptr;
   return out;
 }
 
-/// Usage for a bench that takes only ObsCli flags, called with the argv
-/// strip_obs_cli left: names the first stray argument, lists the flag
-/// table, and returns exit code 2.
-inline int obs_usage(char** argv) {
-  std::fprintf(stderr, "%s: unknown argument '%s'\nusage: %s", argv[0],
-               argv[1], argv[0]);
+/// The usage line of a bench: its positional arguments (`positional`,
+/// e.g. " SCENARIO.json") and the flag table, after naming the `stray`
+/// argument that was not understood (nullptr: none). Returns exit code 2.
+inline int obs_usage(const char* argv0, const char* stray,
+                     const char* positional = "") {
+  if (stray != nullptr) {
+    std::fprintf(stderr, "%s: unknown argument '%s'\n", argv0, stray);
+  }
+  std::fprintf(stderr, "usage: %s%s", argv0, positional);
   for (const ObsFlag& f : kObsFlags) {
     if (f.metavar != nullptr) {
       std::fprintf(stderr, " [%s %s]", f.name, f.metavar);
@@ -237,6 +223,46 @@ inline int obs_usage(char** argv) {
   }
   std::fprintf(stderr, "\n");
   return 2;
+}
+
+/// The flags beyond the common set that a bench can honour. Every bench
+/// honours --tiny, --jobs, --obs-out, --perf and --perf-out; the grid
+/// benches also honour --grid-check.
+enum BenchCaps : unsigned {
+  kGridCheck = 1u << 0,  // --grid-check: the bench runs scenario grids
+  kGridOut = 1u << 1,    // --grid-out: the bench runs exactly one grid
+  kPerRunObs = 1u << 2,  // --trace, --flight*, --replay-flight
+};
+
+/// False, after saying why on stderr, when `cli` carries a flag outside
+/// `caps`; the bench then exits 2.
+inline bool honours_flags(const ObsCli& cli, unsigned caps,
+                          const char* argv0) {
+  const char* why = nullptr;
+  if ((caps & kPerRunObs) == 0 &&
+      (cli.trace || cli.flight || !cli.replay_bundle.empty())) {
+    why = "--trace/--flight/--replay-flight: per-run artifacts only "
+          "bench_fig8_influx and paraleon_run (single-run mode) write";
+  } else if ((caps & kGridOut) == 0 && !cli.grid_out.empty()) {
+    why = "--grid-out: this bench does not run exactly one grid";
+  } else if ((caps & kGridCheck) == 0 && cli.grid_check) {
+    why = "--grid-check: this bench runs no scenario grid";
+  }
+  if (why == nullptr) return true;
+  std::fprintf(stderr, "%s: cannot honour %s\n", argv0, why);
+  return false;
+}
+
+/// Parses argv for a bench that takes only ObsCli flags. An unknown
+/// argument prints the usage line, and a flag outside `caps` prints why
+/// the bench cannot honour it; both return false, and the bench exits 2.
+inline bool parse_bench_cli(int argc, char** argv, unsigned caps,
+                            ObsCli* cli) {
+  if (strip_obs_cli(argc, argv, cli) != 1) {
+    obs_usage(argv[0], argv[1]);
+    return false;
+  }
+  return honours_flags(*cli, caps, argv[0]);
 }
 
 /// Applies the CLI to an experiment config: all trace categories on and
@@ -364,40 +390,6 @@ inline bool write_trend(const ObsCli& cli, const TrendReport& report) {
          emit_artifact("perf", cli.perf_out, report.to_json());
 }
 
-/// The grid epilogue of every grid front door: writes the paraleon.grid.v1
-/// document to `grid_path` and the pool timeline to
-/// timeline_path(grid_path) (both skipped when `grid_path` is empty) and,
-/// with --grid-check, re-runs the grid serially under the same on_config
-/// and byte-compares the deterministic half. Returns the exit code: 0, 1
-/// on a grid-check mismatch, 2 on a failed write.
-inline int finish_grid(const ObsCli& cli, const scenario::Scenario& sc,
-                       const scenario::GridOptions& opts,
-                       const scenario::GridOutcome& grid,
-                       const std::string& grid_path) {
-  if (!grid_path.empty() &&
-      (!emit_artifact("grid", grid_path, grid.to_json()) ||
-       !emit_artifact("grid", timeline_path(grid_path),
-                      grid.timeline_json()))) {
-    return 2;
-  }
-  if (!cli.grid_check) return 0;
-  scenario::GridOptions serial = opts;
-  serial.jobs = 1;
-  serial.telemetry = nullptr;
-  serial.on_cell = nullptr;
-  if (scenario::run_grid(sc, serial).to_json(false) != grid.to_json(false)) {
-    std::fprintf(stderr,
-                 "grid-check: deterministic half differs between jobs=%d "
-                 "and jobs=1\n",
-                 cli.jobs);
-    return 1;
-  }
-  std::printf("# grid-check: deterministic half byte-identical at jobs=%d "
-              "and jobs=1\n",
-              cli.jobs);
-  return 0;
-}
-
 /// Wall-clock stopwatch for bench-level timing (bench TUs are outside the
 /// determinism-linted tree; simulation code must never use this).
 class WallTimer {
@@ -413,65 +405,119 @@ class WallTimer {
   std::chrono::steady_clock::time_point start_;
 };
 
-/// Paper-shaped fabric at laptop scale: 8 ToR, 4 leaf, 8 hosts/ToR
-/// (64 hosts), 10 Gbps host links, 5 Gbps fabric links — per ToR 80G down
-/// vs 20G up = the paper's 4:1 oversubscription. The controller/agent
-/// block comes from scenario::apply_paper_defaults — the SAME function
-/// every scenario file routes through, which is what makes a scenario
-/// spelling out this fabric byte-identical to the hand-built config (the
-/// run_digest parity the migrated benches assert).
-inline ExperimentConfig paper_fabric(Scheme scheme, std::uint64_t seed) {
-  ExperimentConfig cfg;
-  cfg.clos.n_tor = 8;
-  cfg.clos.n_leaf = 4;
-  cfg.clos.hosts_per_tor = 8;
-  cfg.clos.host_link = gbps(10);
-  cfg.clos.fabric_link = gbps(5);
-  cfg.clos.prop_delay = microseconds(5);  // paper value
-  cfg.clos.switch_cfg.buffer_bytes = 12ll * 1024 * 1024;  // paper value
-  cfg.scheme = scheme;
-  cfg.seed = seed;
-  scenario::apply_paper_defaults(cfg);
-  return cfg;
+/// Runs one scenario grid the way every grid front door does: the cells
+/// fan out over --jobs with the CLI layered onto each config
+/// (apply_obs_cli, then the bench's own opts.on_config), the pool is
+/// observed for the grid document's wall half, and the wall time is
+/// recorded. `report` then prints the bench's table from the finished
+/// grid (what opts.on_cell harvested, plus grid.results()) and returns an
+/// exit code; a nonzero one ends the run there. Then the paraleon.grid.v1
+/// document goes to `grid_path` and the pool timeline to
+/// timeline_path(grid_path) (both skipped when `grid_path` is empty) and,
+/// with --grid-check, the grid re-runs serially under the same on_config
+/// and its deterministic half is byte-compared. Returns the exit code: 0,
+/// 1 on a grid-check mismatch, 2 on a failed write.
+inline int run_bench_grid(
+    const ObsCli& cli, const scenario::Scenario& sc,
+    scenario::GridOptions opts,
+    const std::function<int(const scenario::GridOutcome&)>& report,
+    const std::string& grid_path = "") {
+  opts.jobs = cli.jobs;
+  opts.on_config = [&cli, extra = std::move(opts.on_config)](
+                       const scenario::GridCell& cell,
+                       ExperimentConfig& cfg) {
+    apply_obs_cli(cli, cfg);
+    if (extra) extra(cell, cfg);
+  };
+  obs::PoolTelemetry pool;
+  opts.telemetry = &pool;
+  const WallTimer wall;
+  scenario::GridOutcome grid = scenario::run_grid(sc, opts);
+  grid.set_wall_seconds(wall.seconds());
+  if (const int rc = report(grid); rc != 0) return rc;
+  if (!grid_path.empty() &&
+      (!emit_artifact("grid", grid_path, grid.to_json()) ||
+       !emit_artifact("grid", timeline_path(grid_path),
+                      grid.timeline_json()))) {
+    return 2;
+  }
+  if (!cli.grid_check) return 0;
+  opts.jobs = 1;
+  opts.telemetry = nullptr;
+  opts.on_cell = nullptr;
+  if (scenario::run_grid(sc, opts).to_json(false) != grid.to_json(false)) {
+    std::fprintf(stderr,
+                 "grid-check: deterministic half differs between jobs=%d "
+                 "and jobs=1\n",
+                 cli.jobs);
+    return 1;
+  }
+  std::printf("# grid-check: deterministic half byte-identical at jobs=%d "
+              "and jobs=1\n",
+              cli.jobs);
+  return 0;
 }
 
-/// Smaller 16-host variant for the parameter-sweep benches (Figs. 5/6),
-/// which run dozens of configurations.
-inline ExperimentConfig small_fabric(Scheme scheme, std::uint64_t seed) {
-  ExperimentConfig cfg = paper_fabric(scheme, seed);
-  cfg.clos.n_tor = 4;
-  cfg.clos.n_leaf = 2;
-  cfg.clos.hosts_per_tor = 4;
-  return cfg;
+/// A grid whose table is one printed fragment per cell: `row` formats a
+/// finished cell on its worker thread (ending the line where the table
+/// does), and the fragments print in cell order once the grid is done.
+inline int run_row_grid(
+    const ObsCli& cli, const scenario::Scenario& sc,
+    const std::function<std::string(const scenario::GridCell&, Experiment&)>&
+        row,
+    scenario::GridOptions opts = {}, const std::string& grid_path = "") {
+  std::vector<std::string> rows(scenario::expand_grid(sc).size());
+  opts.on_cell = [&rows, &row](const scenario::GridCell& cell,
+                               Experiment& exp) {
+    rows[cell.index] = row(cell, exp);
+  };
+  const auto report = [&rows](const scenario::GridOutcome&) {
+    for (const std::string& r : rows) std::printf("%s", r.c_str());
+    return 0;
+  };
+  return run_bench_grid(cli, sc, std::move(opts), report, grid_path);
 }
 
-inline workload::PoissonConfig fb_hadoop(const Experiment& exp, double load,
-                                         Time stop, std::uint64_t seed) {
-  workload::PoissonConfig w;
-  w.hosts = exp.all_hosts();
-  w.sizes = &workload::fb_hadoop_distribution();
-  w.load = load;
-  w.stop = stop;
-  w.seed = seed;
-  return w;
+/// The main() of a bench: parses argv against `caps` (exit 2 on a bad
+/// flag), runs `body`, which prints the tables and may add trend rows (a
+/// ScenarioError exits 2), prints `shape`, the paper-shape note under
+/// the tables, and writes the bench's wall time as a trend row.
+inline int bench_main(int argc, char** argv, unsigned caps, ObsCli* cli,
+                      const char* bench, const char* shape,
+                      const std::function<int(TrendReport&)>& body) {
+  if (!parse_bench_cli(argc, argv, caps, cli)) return 2;
+  const WallTimer wall;
+  TrendReport trend(bench);
+  try {
+    if (const int rc = body(trend); rc != 0) return rc;
+  } catch (const scenario::ScenarioError& e) {
+    std::fprintf(stderr, "scenario error: %s\n", e.what());
+    return 2;
+  }
+  std::fputs(shape, stdout);
+  trend.add("wall_seconds", wall.seconds(), "s");
+  return write_trend(*cli, trend) ? 0 : 2;
 }
 
-struct FctSummary {
-  double mice_avg = 0, mice_p999 = 0, eleph_avg = 0, eleph_p999 = 0;
-  std::size_t finished = 0, started = 0;
-};
+/// A committed scenarios/ file, with its tiny overlay under --tiny. The
+/// bench CMake bakes the repo's scenarios/ directory in as
+/// PARALEON_SCENARIO_DIR so the benches find their files from any build
+/// or working directory; the relative fallback keeps ad-hoc compiles run
+/// from the repo root working.
+inline scenario::Scenario load_bench_scenario(const ObsCli& cli,
+                                              const std::string& file) {
+#ifdef PARALEON_SCENARIO_DIR
+  const std::string dir = PARALEON_SCENARIO_DIR;
+#else
+  const std::string dir = "scenarios";
+#endif
+  return scenario::load_scenario_file(dir + "/" + file, cli.tiny);
+}
 
-inline FctSummary summarize_fct(const Experiment& exp) {
-  FctSummary s;
-  const auto mice = exp.fct().slowdowns(0, 1 << 20);
-  const auto eleph = exp.fct().slowdowns(1 << 20, 1ll << 40);
-  s.mice_avg = stats::mean(mice);
-  s.mice_p999 = stats::quantile(mice, 0.999);
-  s.eleph_avg = stats::mean(eleph);
-  s.eleph_p999 = stats::quantile(eleph, 0.999);
-  s.finished = exp.fct().finished();
-  s.started = exp.fct().started();
-  return s;
+/// "Default", "PARALEON", ...: a cell's scheme as the tables print it.
+inline std::string cell_scheme(const scenario::GridCell& cell) {
+  return runner::scheme_name(
+      scenario::scheme_from_name(cell.scenario.scheme.name));
 }
 
 }  // namespace paraleon::bench

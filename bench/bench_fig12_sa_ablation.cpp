@@ -5,10 +5,16 @@
 // Reproduced shape: PARALEON's utility climbs to a high value within a few
 // dozen monitor intervals; naive_SA needs far more iterations and tracks
 // lower over the same horizon.
+//
+// The traces are the scheme grids of scenarios/fig12_fb_hadoop.json and
+// scenarios/fig12_llm.json (skipped at --tiny); the shadow-fleet section
+// replays the window of scenarios/fig12_shadow_window.json.
 #include <cstdio>
+#include <string>
 
 #include "bench_common.hpp"
 #include "exec/shadow_fleet.hpp"
+#include "scenario/flow_scheduler.hpp"
 
 using namespace paraleon;
 using namespace paraleon::bench;
@@ -18,49 +24,35 @@ namespace {
 
 ObsCli g_cli;
 
-stats::TimeSeries run_trace(Scheme s, bool llm) {
-  ExperimentConfig cfg = paper_fabric(s, 53);
-  cfg.duration = milliseconds(300);
-  if (llm) {
-    // §III-C: throughput-sensitive weights for LLM training.
-    cfg.controller.weights = core::UtilityWeights::throughput_sensitive();
-  }
-  // A single long episode per run, triggered immediately; both variants
-  // share episode shape so the mutation policy is the only difference.
-  cfg.controller.sa.total_iter_num = 10;
-  cfg.controller.sa.cooling_rate = 0.85;
-  cfg.controller.eval_mi_per_candidate = 1;
-  Experiment exp(cfg);
-  if (llm) {
-    workload::AlltoallConfig a2a;
-    for (int i = 0; i < 16; ++i) a2a.workers.push_back(i * 4);
-    a2a.flow_size = 512 * 1024;
-    a2a.off_period = milliseconds(1);
-    exp.add_alltoall(a2a);
-  } else {
-    exp.add_poisson(fb_hadoop(exp, 0.3, milliseconds(290), 5301));
-  }
-  exp.controller()->force_trigger();
-  exp.run();
-  return exp.controller()->utility_series();
-}
-
-void compare(const char* title, bool llm) {
+/// The utility traces of one scheme grid's PARALEON and naive_SA cells,
+/// in windows of a tenth of the run plus the mean of its final third.
+int compare(const char* title, const std::string& file) {
   std::printf("\n-- %s --\n", title);
-  const stats::TimeSeries paraleon = run_trace(Scheme::kParaleon, llm);
-  const stats::TimeSeries naive = run_trace(Scheme::kParaleonNaiveSa, llm);
-  std::printf("%-12s %-12s %-12s\n", "window_ms", "naive_SA", "PARALEON");
-  for (Time t = 0; t < milliseconds(300); t += milliseconds(30)) {
-    std::printf("%4lld-%-7lld %-12.4f %-12.4f\n",
-                static_cast<long long>(to_ms(t)),
-                static_cast<long long>(to_ms(t + milliseconds(30))),
-                naive.mean_in(t, t + milliseconds(30)),
-                paraleon.mean_in(t, t + milliseconds(30)));
-  }
-  // Convergence summary: mean utility of the final 100 ms.
-  std::printf("final-100ms mean:  naive=%.4f  paraleon=%.4f\n",
-              naive.mean_in(milliseconds(200), milliseconds(300)),
-              paraleon.mean_in(milliseconds(200), milliseconds(300)));
+  const scenario::Scenario sc = load_bench_scenario(g_cli, file);
+  stats::TimeSeries traces[2];  // [0] PARALEON, [1] naive_SA
+  scenario::GridOptions opts;
+  opts.on_cell = [&traces](const scenario::GridCell& cell, Experiment& exp) {
+    traces[cell.scenario.scheme.name == "paraleon_naive_sa"] =
+        exp.controller()->utility_series();
+  };
+  const auto report = [&traces, &sc](const scenario::GridOutcome&) {
+    const auto& [paraleon, naive] = traces;
+    const Time end = milliseconds(sc.duration_ms);
+    const Time step = end / 10;
+    std::printf("%-12s %-12s %-12s\n", "window_ms", "naive_SA", "PARALEON");
+    for (Time t = 0; t < end; t += step) {
+      std::printf("%4lld-%-7lld %-12.4f %-12.4f\n",
+                  static_cast<long long>(to_ms(t)),
+                  static_cast<long long>(to_ms(t + step)),
+                  naive.mean_in(t, t + step), paraleon.mean_in(t, t + step));
+    }
+    std::printf("final-%lldms mean:  naive=%.4f  paraleon=%.4f\n",
+                static_cast<long long>(to_ms(end / 3)),
+                naive.mean_in(end - end / 3, end),
+                paraleon.mean_in(end - end / 3, end));
+    return 0;
+  };
+  return run_bench_grid(g_cli, sc, std::move(opts), report);
 }
 
 /// Shadow-fleet section: the same guided-SA episode driven offline over a
@@ -68,14 +60,14 @@ void compare(const char* title, bool llm) {
 /// step evaluated in K concurrent shadow experiments. K=1 is the serial
 /// chain (byte-identical to step-driven SA — the determinism test proves
 /// it); K=4 shows the wall-clock win of speculative parallel evaluation.
-void shadow_fleet_section(TrendReport* trend) {
+void shadow_fleet_section(TrendReport& trend) {
   std::printf("\n-- shadow-fleet SA: K candidates per temperature step --\n");
+  const scenario::Scenario sc =
+      load_bench_scenario(g_cli, "fig12_shadow_window.json");
   exec::ShadowWindow w;
-  w.base = g_cli.tiny ? small_fabric(Scheme::kCustomStatic, 53)
-                      : paper_fabric(Scheme::kCustomStatic, 53);
-  w.base.duration = g_cli.tiny ? milliseconds(5) : milliseconds(10);
-  w.setup = [](Experiment& exp) {
-    exp.add_poisson(fb_hadoop(exp, 0.3, exp.config().duration, 5301));
+  w.base = scenario::to_experiment_config(sc);
+  w.setup = [&sc](Experiment& exp) {
+    scenario::FlowScheduler(sc, &exp).install_all();
   };
   w.measure_from = milliseconds(2);
   w.weights = {0.2, 0.5, 0.3};
@@ -105,13 +97,11 @@ void shadow_fleet_section(TrendReport* trend) {
                 static_cast<long long>(sp.accepted),
                 static_cast<long long>(sp.wasted),
                 static_cast<unsigned long long>(sp.events_wasted));
-    if (trend != nullptr) {
-      const std::string prefix = "shadow_k" + std::to_string(k) + "_";
-      trend->add(prefix + "wasted_evals", static_cast<double>(sp.wasted),
-                 "evals");
-      trend->add(prefix + "wasted_events",
-                 static_cast<double>(sp.events_wasted), "events");
-    }
+    const std::string prefix = "shadow_k" + std::to_string(k) + "_";
+    trend.add(prefix + "wasted_evals", static_cast<double>(sp.wasted),
+              "evals");
+    trend.add(prefix + "wasted_events", static_cast<double>(sp.events_wasted),
+              "events");
   }
   std::printf(
       "K=1 reproduces the serial tuner exactly (nothing wasted); K=4\n"
@@ -122,24 +112,30 @@ void shadow_fleet_section(TrendReport* trend) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  g_cli = parse_obs_cli(argc, argv);
-  const WallTimer wall;
-  print_header("Fig. 12: SA ablation — utility convergence, naive vs guided",
-               scaling_note(paper_fabric(Scheme::kParaleon, 53),
-                            "one forced tuning episode; 10 iters/temp, "
-                            "x0.85 cooling (Table III shape)"));
-  TrendReport trend("fig12_sa_ablation");
-  if (!g_cli.tiny) {
-    compare("(a) FB_Hadoop @30%", /*llm=*/false);
-    compare("(b) LLM training alltoall", /*llm=*/true);
-  }
-  shadow_fleet_section(&trend);
-  std::printf(
+  return bench_main(
+      argc, argv, kGridCheck, &g_cli, "fig12_sa_ablation",
       "\nPaper Fig. 12 shape: PARALEON reaches a higher utility plateau\n"
       "within dozens of MIs; naive_SA stays lower/slower. The FB_Hadoop\n"
       "half reproduces strongly; the alltoall half is close to a tie at\n"
       "this fabric scale (its utility landscape is flat — see\n"
-      "EXPERIMENTS.md).\n");
-  trend.add("wall_seconds", wall.seconds(), "s");
-  return write_trend(g_cli, trend) ? 0 : 2;
+      "EXPERIMENTS.md).\n",
+      [](TrendReport& trend) {
+        // The traces are the expensive part; --tiny runs the shadow fleet
+        // only, so the header describes its window.
+        print_header(
+            "Fig. 12: SA ablation — utility convergence, naive vs guided",
+            scaling_note(scenario::to_experiment_config(load_bench_scenario(
+                             g_cli, g_cli.tiny ? "fig12_shadow_window.json"
+                                               : "fig12_fb_hadoop.json")),
+                         "one forced tuning episode; 10 iters/temp, x0.85 "
+                         "cooling (Table III shape)"));
+        if (!g_cli.tiny) {
+          int rc = compare("(a) FB_Hadoop @30%", "fig12_fb_hadoop.json");
+          if (rc == 0) rc = compare("(b) LLM training alltoall",
+                                    "fig12_llm.json");
+          if (rc != 0) return rc;
+        }
+        shadow_fleet_section(trend);
+        return 0;
+      });
 }

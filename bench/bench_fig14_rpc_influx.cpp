@@ -4,7 +4,13 @@
 // Paper: 32-node alltoall background; a SolarRPC burst (all mice <128 KB,
 // Poisson WRITEs) arrives for a window. PARALEON drops latency while the
 // mice dominate, then restores bandwidth; Default/Expert cannot adapt.
+//
+// The runs are the scheme grid of scenarios/fig14_rpc_influx.json: a
+// moderate 16-worker background, so the burst window is congested but
+// not saturated (a saturated fabric would mask scheme differences). Each
+// cell's metric is the burst-window RTT.
 #include <cstdio>
+#include <string>
 
 #include "bench_common.hpp"
 
@@ -14,77 +20,58 @@ using namespace paraleon::runner;
 
 namespace {
 
-constexpr Time kBurstStart = milliseconds(120);
-constexpr Time kBurstEnd = milliseconds(170);
-constexpr Time kEnd = milliseconds(280);
+ObsCli g_cli;
 
-void run_scheme(Scheme s) {
-  ExperimentConfig cfg = paper_fabric(s, 77);
-  cfg.duration = kEnd;
-  cfg.controller.episode_cooldown_mi = 10;
-  cfg.controller.steady_retrigger_mi = 0;  // pure KL-triggered adaptation
-  cfg.controller.post_check_window_mi = 5;
-  cfg.controller.sa.total_iter_num = 3;
-  cfg.controller.sa.cooling_rate = 0.5;
-  cfg.controller.sa.final_temp = 30;
-  cfg.controller.eval_mi_per_candidate = 1;
-  Experiment exp(cfg);
-
-  // Moderate background so the burst window is congested but not fully
-  // saturated (a saturated fabric would mask scheme differences).
-  workload::AlltoallConfig a2a;
-  for (int i = 0; i < 16; ++i) a2a.workers.push_back(i * 4);
-  a2a.flow_size = 256 * 1024;
-  a2a.off_period = milliseconds(2);
-  exp.add_alltoall(a2a);
-
-  workload::PoissonConfig rpc;
-  rpc.hosts = exp.all_hosts();
-  rpc.sizes = &workload::solar_rpc_distribution();
-  rpc.load = 0.12;
-  rpc.start = kBurstStart;
-  rpc.stop = kBurstEnd;
-  rpc.seed = 7701;
-  exp.add_poisson(rpc);
-  exp.run();
-
+/// One row: goodput and RTT before, during and after the RPC burst, and
+/// the RPC flows' p99 FCT slowdown.
+std::string phase_row(const scenario::GridCell& cell, Experiment& exp) {
+  const scenario::WorkloadComponent& rpc = cell.scenario.workload.back();
+  const Time start = milliseconds(rpc.start_ms);
+  const Time stop = milliseconds(rpc.stop_ms);
+  const Time end = exp.config().duration;
   const auto& tput = exp.throughput_series();
   const auto& rtt = exp.rtt_series();
-  const auto rpc_sd = exp.fct().slowdowns(0, 128 << 10);
-  std::printf("%-10s | %8.2f %8.2f | %8.2f %8.2f | %8.2f %8.2f | %10.2f\n",
-              scheme_name(s).c_str(),
-              tput.mean_in(milliseconds(60), kBurstStart),
-              rtt.mean_in(milliseconds(60), kBurstStart),
-              tput.mean_in(kBurstStart + milliseconds(2), kBurstEnd),
-              rtt.mean_in(kBurstStart + milliseconds(2), kBurstEnd),
-              tput.mean_in(kBurstEnd + milliseconds(20), kEnd),
-              rtt.mean_in(kBurstEnd + milliseconds(20), kEnd),
-              stats::quantile(rpc_sd, 0.99));
+  char buf[160];
+  std::snprintf(
+      buf, sizeof buf,
+      "%-10s | %8.2f %8.2f | %8.2f %8.2f | %8.2f %8.2f | %10.2f\n",
+      cell_scheme(cell).c_str(), tput.mean_in(start / 2, start),
+      rtt.mean_in(start / 2, start),
+      tput.mean_in(start + milliseconds(2), stop),
+      rtt.mean_in(start + milliseconds(2), stop),
+      tput.mean_in(stop + milliseconds(20), end),
+      rtt.mean_in(stop + milliseconds(20), end),
+      stats::quantile(exp.fct().slowdowns(0, 128 << 10), 0.99));
+  return buf;
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
-  const ObsCli cli = parse_obs_cli(argc, argv);
-  const WallTimer wall;
+int run() {
+  const scenario::Scenario sc =
+      load_bench_scenario(g_cli, "fig14_rpc_influx.json");
+  const scenario::WorkloadComponent& rpc = sc.workload.back();
   print_header("Fig. 14: runtime bandwidth & latency with SolarRPC influx",
-               scaling_note(paper_fabric(Scheme::kParaleon, 77),
-                            "32-worker alltoall background + 50 ms SolarRPC "
-                            "burst @25% load (paper: 32 H100 nodes @400G)"));
+               scaling_note(scenario::to_experiment_config(sc),
+                            std::to_string(sc.workload.front().workers) +
+                                "-worker alltoall background + " +
+                                fmt(rpc.stop_ms - rpc.start_ms, 0) +
+                                " ms SolarRPC burst @" +
+                                fmt(100 * rpc.load, 0) +
+                                "% load (paper: 32 H100 nodes @400G)"));
   std::printf("%-10s | %8s %8s | %8s %8s | %8s %8s | %10s\n", "", "before",
               "", "burst", "", "after", "", "rpc");
   std::printf("%-10s | %8s %8s | %8s %8s | %8s %8s | %10s\n", "scheme",
               "Gbps", "rtt_us", "Gbps", "rtt_us", "Gbps", "rtt_us",
               "p99_slow");
-  for (Scheme s : {Scheme::kDefaultStatic, Scheme::kExpertStatic,
-                   Scheme::kParaleon}) {
-    run_scheme(s);
-  }
-  std::printf(
+  return run_row_grid(g_cli, sc, phase_row, {}, g_cli.grid_out);
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return bench_main(
+      argc, argv, kGridCheck | kGridOut, &g_cli, "fig14_rpc_influx",
       "\nPaper Fig. 14 shape: PARALEON has the lowest latency (and best\n"
       "RPC tail) during the burst and recovers bandwidth fastest after\n"
-      "it.\n");
-  TrendReport trend("fig14_rpc_influx");
-  trend.add("wall_seconds", wall.seconds(), "s");
-  return write_trend(cli, trend) ? 0 : 2;
+      "it.\n",
+      [](TrendReport&) { return run(); });
 }

@@ -5,8 +5,12 @@
 // others at defaults; report average throughput and RTT.
 // Reproduced shape: each parameter has a throughput-friendly direction
 // (throughput rises) that simultaneously raises RTT, and vice versa.
+//
+// The three alltoall sweeps are the one scheme.params axis of
+// scenarios/fig5_single_param.json; the hai_rate sweep drives the RP state
+// machine directly and builds no experiment.
 #include <cstdio>
-#include <functional>
+#include <string>
 
 #include "bench_common.hpp"
 
@@ -16,44 +20,7 @@ using namespace paraleon::runner;
 
 namespace {
 
-struct Point {
-  double tput_gbps = 0;
-  double rtt_us = 0;
-};
-
-Point run_with(const dcqcn::DcqcnParams& params) {
-  ExperimentConfig cfg = small_fabric(Scheme::kCustomStatic, 7);
-  cfg.custom_params = params;
-  cfg.duration = milliseconds(60);
-  Experiment exp(cfg);
-  workload::AlltoallConfig a2a;
-  for (int i = 0; i < 12; ++i) a2a.workers.push_back(i);
-  a2a.flow_size = 256 * 1024;
-  a2a.off_period = microseconds(500);
-  exp.add_alltoall(a2a);
-  exp.run();
-  Point p;
-  p.tput_gbps = exp.throughput_series().mean_in(milliseconds(10),
-                                                milliseconds(60));
-  p.rtt_us = exp.rtt_series().mean_in(milliseconds(10), milliseconds(60));
-  return p;
-}
-
-void sweep(const char* name, const std::vector<double>& values,
-           const std::function<void(dcqcn::DcqcnParams&, double)>& set,
-           const char* unit,
-           const std::function<void(dcqcn::DcqcnParams&)>& adjust_base = {}) {
-  std::printf("\n-- %s --\n%-12s %-14s %-10s\n", name, unit, "tput_Gbps",
-              "rtt_us");
-  for (double v : values) {
-    dcqcn::DcqcnParams p = dcqcn::scaled_for_line_rate(
-        dcqcn::default_params(), gbps(100), gbps(10));
-    if (adjust_base) adjust_base(p);
-    set(p, v);
-    const Point pt = run_with(p);
-    std::printf("%-12.0f %-14.2f %-10.2f\n", v, pt.tput_gbps, pt.rtt_us);
-  }
-}
+ObsCli g_cli;
 
 void hai_recovery_sweep() {
   // hai_rate's single-parameter impact is ramp-up speed after congestion
@@ -99,44 +66,57 @@ void hai_recovery_sweep() {
   }
 }
 
+/// One alltoall-sweep row; the first cell of each swept parameter opens
+/// its table ("dcqcn.rpg_time_reset_us" -> "-- rpg_time_reset (us) --").
+std::string sweep_row(const scenario::Scenario& sc,
+                      const scenario::GridCell& cell, Experiment& exp) {
+  const auto key = [&sc](std::size_t i) {
+    return sc.sweep[0].values[i].members().front().first;
+  };
+  const std::string name = key(cell.index).substr(6);  // drop "dcqcn."
+  const std::size_t cut = name.rfind('_');
+  const std::string unit =
+      name.substr(cut + 1) == "kb" ? "KB" : name.substr(cut + 1);
+  std::string out;
+  if (cell.index == 0 || key(cell.index) != key(cell.index - 1)) {
+    out = "\n-- " + name.substr(0, cut) + " (" + unit + ") --\n";
+    char head[64];
+    std::snprintf(head, sizeof head, "%-12s %-14s %-10s\n", unit.c_str(),
+                  "tput_Gbps", "rtt_us");
+    out += head;
+  }
+  const Time from = milliseconds(cell.scenario.metric.from_ms);
+  const Time end = exp.config().duration;
+  char buf[64];
+  std::snprintf(buf, sizeof buf, "%-12.0f %-14.2f %-10.2f\n",
+                cell.scenario.scheme.params.front().second.as_double(),
+                exp.throughput_series().mean_in(from, end),
+                exp.rtt_series().mean_in(from, end));
+  return out + buf;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
-  const ObsCli cli = parse_obs_cli(argc, argv);
-  const WallTimer wall;
-  print_header("Fig. 5: single-parameter impacts on throughput & RTT",
-               scaling_note(small_fabric(Scheme::kCustomStatic, 7),
-                            "12x12 alltoall, parameter units scaled to 10G "
-                            "(paper: 20x20 alltoall on 100G NS3)"));
-  // hai_rate governs ramp-up after congestion clears (the hyper-increase
-  // stage), so it is measured on a recovery scenario: two flows share a
-  // bottleneck, one finishes, and the survivor must re-claim the line
-  // rate. Higher hai_rate -> faster ramp -> more bytes in the recovery
-  // window (throughput-friendly), at the cost of deeper queues when
-  // congestion returns.
-  hai_recovery_sweep();
-  sweep("rate_reduce_monitor_period (us)", {1, 4, 20, 80, 200},
-        [](dcqcn::DcqcnParams& p, double v) {
-          p.rate_reduce_monitor_period = microseconds(v);
-        },
-        "us");
-  sweep("rpg_time_reset (us)", {30, 100, 300, 900, 1800},
-        [](dcqcn::DcqcnParams& p, double v) {
-          p.rpg_time_reset = microseconds(v);
-        },
-        "us");
-  sweep("kmax (KB)", {20, 40, 80, 160, 640},
-        [](dcqcn::DcqcnParams& p, double v) {
-          p.kmax_bytes = static_cast<std::int64_t>(v * 1024);
-          if (p.kmin_bytes > p.kmax_bytes / 2) {
-            p.kmin_bytes = p.kmax_bytes / 4;
-          }
-        },
-        "KB");
-  std::printf(
+  return bench_main(
+      argc, argv, kGridCheck, &g_cli, "fig5_single_param",
       "\nPaper Fig. 5 shape: hai_rate & rate_reduce_monitor_period &\n"
-      "kmax up => throughput up, RTT up; rpg_time_reset down => same.\n");
-  TrendReport trend("fig5_single_param");
-  trend.add("wall_seconds", wall.seconds(), "s");
-  return write_trend(cli, trend) ? 0 : 2;
+      "kmax up => throughput up, RTT up; rpg_time_reset down => same.\n",
+      [](TrendReport&) {
+        const scenario::Scenario sc =
+            load_bench_scenario(g_cli, "fig5_single_param.json");
+        print_header("Fig. 5: single-parameter impacts on throughput & RTT",
+                     scaling_note(scenario::to_experiment_config(sc),
+                                  "12x12 alltoall, parameter units scaled "
+                                  "to 10G (paper: 20x20 alltoall on 100G "
+                                  "NS3)"));
+        // hai_rate governs ramp-up after congestion clears, so it is
+        // measured on a recovery scenario instead.
+        hai_recovery_sweep();
+        return run_row_grid(g_cli, sc,
+                            [&sc](const scenario::GridCell& cell,
+                                  Experiment& exp) {
+                              return sweep_row(sc, cell, exp);
+                            });
+      });
 }

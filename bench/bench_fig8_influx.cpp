@@ -159,10 +159,6 @@ int run_scenario_table(const scenario::Scenario& sc) {
   TrendReport trend("fig8_influx");
 
   scenario::GridOptions opts;
-  opts.jobs = g_cli.jobs;
-  opts.on_config = [](const scenario::GridCell&, ExperimentConfig& cfg) {
-    apply_obs_cli(g_cli, cfg);
-  };
   opts.on_cell = [&slots, &trend](const scenario::GridCell& cell,
                                   Experiment& exp) {
     const Fig8Phases ph = fig8_phases(exp.config().duration);
@@ -187,57 +183,51 @@ int run_scenario_table(const scenario::Scenario& sc) {
     }
   };
 
-  obs::PoolTelemetry pool;
-  opts.telemetry = &pool;
-  const WallTimer wall;
-  scenario::GridOutcome grid = scenario::run_grid(sc, opts);
-  const double grid_seconds = wall.seconds();
-  grid.set_wall_seconds(grid_seconds);
-
-  bool obs_written = true;
-  for (std::size_t i = 0; i < grid.cells().size(); ++i) {
-    const scenario::GridCell& cell = grid.cells()[i];
-    const Fig8Slot& slot = slots[i];
-    obs_written = obs_written && slot.obs_written;
-    std::printf("%-10s",
-                scheme_name(scenario::scheme_from_name(
-                                cell.scenario.scheme.name))
-                    .c_str());
-    std::printf(" | %8.2f %8.2f", slot.before_tput, slot.before_rtt);
-    std::printf(" | %8.2f %8.2f", slot.influx_tput, slot.influx_rtt);
-    std::printf(" | %8.2f %8.2f", slot.after_tput, slot.after_rtt);
-    if (slot.episodes >= 0) {
-      std::printf("  (episodes=%.0f)", slot.episodes);
+  const auto report = [&slots, &trend](const scenario::GridOutcome& grid) {
+    bool obs_written = true;
+    for (std::size_t i = 0; i < grid.cells().size(); ++i) {
+      const scenario::GridCell& cell = grid.cells()[i];
+      const Fig8Slot& slot = slots[i];
+      obs_written = obs_written && slot.obs_written;
+      std::printf("%-10s", cell_scheme(cell).c_str());
+      std::printf(" | %8.2f %8.2f", slot.before_tput, slot.before_rtt);
+      std::printf(" | %8.2f %8.2f", slot.influx_tput, slot.influx_rtt);
+      std::printf(" | %8.2f %8.2f", slot.after_tput, slot.after_rtt);
+      if (slot.episodes >= 0) {
+        std::printf("  (episodes=%.0f)", slot.episodes);
+      }
+      std::printf("\n");
+      if (cell.scenario.scheme.name == "paraleon") {
+        trend.add("before_tput_gbps", slot.before_tput, "Gbps");
+        trend.add("influx_rtt_us", slot.influx_rtt, "us");
+        trend.add("after_tput_gbps", slot.after_tput, "Gbps");
+        trend.add("fct_finished", static_cast<double>(slot.fct_finished),
+                  "flows");
+        if (slot.episodes >= 0) {
+          trend.add("episodes", slot.episodes, "episodes");
+        }
+      }
     }
-    std::printf("\n");
-    if (cell.scenario.scheme.name == "paraleon") {
-      trend.add("before_tput_gbps", slot.before_tput, "Gbps");
-      trend.add("influx_rtt_us", slot.influx_rtt, "us");
-      trend.add("after_tput_gbps", slot.after_tput, "Gbps");
-      trend.add("fct_finished", static_cast<double>(slot.fct_finished),
-                "flows");
-      if (slot.episodes >= 0) trend.add("episodes", slot.episodes,
-                                        "episodes");
-    }
-  }
-  std::printf(
-      "\nPaper Fig. 8 shape: PARALEON shows the lowest RTT during the\n"
-      "influx window and the highest throughput after it.\n");
-  if (!obs_written) return 2;
-
-  trend.add("grid_wall_seconds", grid_seconds, "s");
-  if (!write_trend(g_cli, trend)) return 2;
-  return finish_grid(g_cli, sc, opts, grid, g_cli.grid_out);
+    std::printf(
+        "\nPaper Fig. 8 shape: PARALEON shows the lowest RTT during the\n"
+        "influx window and the highest throughput after it.\n");
+    if (!obs_written) return 2;
+    trend.add("grid_wall_seconds", grid.wall_seconds(), "s");
+    return write_trend(g_cli, trend) ? 0 : 2;
+  };
+  return run_bench_grid(g_cli, sc, std::move(opts), report, g_cli.grid_out);
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  g_cli = parse_obs_cli(argc, argv);
-  if (strip_obs_cli(argc, argv) != 1) return obs_usage(argv);
+  if (!parse_bench_cli(argc, argv, kGridCheck | kGridOut | kPerRunObs,
+                       &g_cli)) {
+    return 2;
+  }
   try {
-    const scenario::Scenario sc = scenario::load_scenario_file(
-        scenario_path("fig8_influx.json"), g_cli.tiny);
+    const scenario::Scenario sc =
+        load_bench_scenario(g_cli, "fig8_influx.json");
     if (!g_cli.replay_bundle.empty()) {
       return run_replay(paraleon_cell(sc), g_cli.replay_bundle);
     }

@@ -5,7 +5,14 @@
 // replayed as static settings on the Fig. 8 influx scenario against live
 // PARALEON. Reproduced shape: each pretrained setting is good for "its"
 // phase but cannot adapt; live PARALEON wins across phases.
+//
+// The pretraining runs are scenarios/fig9_pretrain_alltoall.json and
+// scenarios/fig9_pretrain_fb_hadoop.json; the evaluation is the grid of
+// scenarios/fig9_influx.json, whose Pretrained1/Pretrained2 cells become
+// static custom settings through the grid's on_config hook.
 #include <cstdio>
+#include <map>
+#include <string>
 
 #include "bench_common.hpp"
 
@@ -15,102 +22,82 @@ using namespace paraleon::runner;
 
 namespace {
 
-constexpr Time kInfluxStart = milliseconds(120);
-constexpr Time kInfluxEnd = milliseconds(150);
-constexpr Time kEnd = milliseconds(260);
+ObsCli g_cli;
 
-ExperimentConfig live_cfg(Scheme s, std::uint64_t seed) {
-  ExperimentConfig cfg = paper_fabric(s, seed);
-  cfg.duration = kEnd;
-  cfg.controller.episode_cooldown_mi = 10;
-  cfg.controller.steady_retrigger_mi = 0;  // pure KL-triggered adaptation
-  cfg.controller.post_check_window_mi = 5;
-  cfg.controller.sa.total_iter_num = 3;
-  cfg.controller.sa.cooling_rate = 0.5;
-  cfg.controller.sa.final_temp = 30;
-  cfg.controller.eval_mi_per_candidate = 1;
-  return cfg;
+/// The setting PARALEON freezes after the offline run in `file`.
+dcqcn::DcqcnParams pretrain(const std::string& file, int* rc) {
+  dcqcn::DcqcnParams learned;
+  scenario::GridOptions opts;
+  opts.on_cell = [&learned](const scenario::GridCell&, Experiment& exp) {
+    learned = exp.learned_params();
+  };
+  *rc = run_bench_grid(g_cli, load_bench_scenario(g_cli, file),
+                       std::move(opts),
+                       [](const scenario::GridOutcome&) { return 0; });
+  return learned;
 }
 
-dcqcn::DcqcnParams pretrain_on_alltoall() {
-  ExperimentConfig cfg = paper_fabric(Scheme::kParaleon, 71);
-  cfg.duration = milliseconds(200);
-  Experiment exp(cfg);
-  workload::AlltoallConfig a2a;
-  for (int i = 0; i < 16; ++i) a2a.workers.push_back(i * 4);
-  a2a.flow_size = 512 * 1024;
-  a2a.off_period = milliseconds(1);
-  exp.add_alltoall(a2a);
-  exp.controller()->force_trigger();
-  exp.run();
-  return exp.learned_params();
-}
-
-dcqcn::DcqcnParams pretrain_on_fb_hadoop() {
-  ExperimentConfig cfg = paper_fabric(Scheme::kParaleon, 72);
-  cfg.duration = milliseconds(200);
-  Experiment exp(cfg);
-  exp.add_poisson(fb_hadoop(exp, 0.4, milliseconds(190), 72));
-  exp.controller()->force_trigger();
-  exp.run();
-  return exp.learned_params();
-}
-
-void run_influx(const std::string& name, ExperimentConfig cfg) {
-  Experiment exp(std::move(cfg));
-  workload::AlltoallConfig a2a;
-  for (int i = 0; i < 16; ++i) a2a.workers.push_back(i * 4);
-  a2a.flow_size = 512 * 1024;
-  a2a.off_period = milliseconds(1);
-  exp.add_alltoall(a2a);
-  workload::PoissonConfig burst = fb_hadoop(exp, 0.4, kInfluxEnd, 2009);
-  burst.start = kInfluxStart;
-  exp.add_poisson(burst);
-  exp.run();
+/// One influx row: goodput and RTT before, during and after the burst.
+std::string influx_row(const scenario::GridCell& cell, Experiment& exp) {
+  const scenario::WorkloadComponent& burst = cell.scenario.workload.back();
+  const Time start = milliseconds(burst.start_ms);
+  const Time stop = milliseconds(burst.stop_ms);
+  const Time end = exp.config().duration;
   const auto& tput = exp.throughput_series();
   const auto& rtt = exp.rtt_series();
-  std::printf("%-14s | %8.2f %8.2f | %8.2f %8.2f | %8.2f %8.2f\n",
-              name.c_str(), tput.mean_in(milliseconds(60), kInfluxStart),
-              rtt.mean_in(milliseconds(60), kInfluxStart),
-              tput.mean_in(kInfluxStart + milliseconds(2), kInfluxEnd),
-              rtt.mean_in(kInfluxStart + milliseconds(2), kInfluxEnd),
-              tput.mean_in(kInfluxEnd + milliseconds(20), kEnd),
-              rtt.mean_in(kInfluxEnd + milliseconds(20), kEnd));
+  char buf[160];
+  std::snprintf(buf, sizeof buf,
+                "%-14s | %8.2f %8.2f | %8.2f %8.2f | %8.2f %8.2f\n",
+                cell.scenario.description.c_str(),
+                tput.mean_in(start / 2, start), rtt.mean_in(start / 2, start),
+                tput.mean_in(start + milliseconds(2), stop),
+                rtt.mean_in(start + milliseconds(2), stop),
+                tput.mean_in(stop + milliseconds(20), end),
+                rtt.mean_in(stop + milliseconds(20), end));
+  return buf;
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
-  const ObsCli cli = parse_obs_cli(argc, argv);
-  const WallTimer wall;
+int run() {
+  const scenario::Scenario influx =
+      load_bench_scenario(g_cli, "fig9_influx.json");
   print_header("Fig. 9: live PARALEON vs offline-pretrained static settings",
-               scaling_note(paper_fabric(Scheme::kParaleon, 71),
-                            "pretraining: 200 ms offline episodes; "
-                            "evaluation: the Fig. 8 influx scenario"));
-  const dcqcn::DcqcnParams pre1 = pretrain_on_alltoall();
-  const dcqcn::DcqcnParams pre2 = pretrain_on_fb_hadoop();
+               scaling_note(scenario::to_experiment_config(influx),
+                            "pretraining: offline episodes of "
+                            "fig9_pretrain_*.json; evaluation: the Fig. 8 "
+                            "influx scenario"));
+  int rc = 0;
+  const dcqcn::DcqcnParams pre1 = pretrain("fig9_pretrain_alltoall.json", &rc);
+  if (rc != 0) return rc;
+  const dcqcn::DcqcnParams pre2 =
+      pretrain("fig9_pretrain_fb_hadoop.json", &rc);
+  if (rc != 0) return rc;
   std::printf("Pretrained1 (alltoall):  %s\n", dcqcn::to_string(pre1).c_str());
   std::printf("Pretrained2 (fb_hadoop): %s\n\n",
               dcqcn::to_string(pre2).c_str());
   std::printf("%-14s | %8s %8s | %8s %8s | %8s %8s\n", "scheme",
               "pre_Gbps", "pre_rtt", "inf_Gbps", "inf_rtt", "post_Gbps",
               "post_rtt");
-  {
-    ExperimentConfig c = live_cfg(Scheme::kCustomStatic, 9);
-    c.custom_params = pre1;
-    run_influx("Pretrained1", std::move(c));
-  }
-  {
-    ExperimentConfig c = live_cfg(Scheme::kCustomStatic, 9);
-    c.custom_params = pre2;
-    run_influx("Pretrained2", std::move(c));
-  }
-  run_influx("PARALEON", live_cfg(Scheme::kParaleon, 9));
-  std::printf(
+  // The cells labelled Pretrained1/2 replay a learned setting statically.
+  const std::map<std::string, const dcqcn::DcqcnParams*> pretrained = {
+      {"Pretrained1", &pre1}, {"Pretrained2", &pre2}};
+  scenario::GridOptions opts;
+  opts.on_config = [&pretrained](const scenario::GridCell& cell,
+                                 ExperimentConfig& cfg) {
+    const auto it = pretrained.find(cell.scenario.description);
+    if (it == pretrained.end()) return;
+    cfg.scheme = Scheme::kCustomStatic;
+    cfg.custom_params = *it->second;
+  };
+  return run_row_grid(g_cli, influx, influx_row, std::move(opts));
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return bench_main(
+      argc, argv, kGridCheck, &g_cli, "fig9_pretrained",
       "\nPaper Fig. 9 shape: the pretrained settings capture only their\n"
       "training workload; live PARALEON achieves lower RTT during the\n"
-      "influx AND higher throughput afterwards.\n");
-  TrendReport trend("fig9_pretrained");
-  trend.add("wall_seconds", wall.seconds(), "s");
-  return write_trend(cli, trend) ? 0 : 2;
+      "influx AND higher throughput afterwards.\n",
+      [](TrendReport&) { return run(); });
 }

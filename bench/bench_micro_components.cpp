@@ -213,9 +213,9 @@ bool write_micro_trend(const paraleon::bench::ObsCli& cli) {
 // experiment benches. --tiny narrows to an event-engine + sketch smoke
 // subset for CI; everything else (--benchmark_out=...) passes through.
 int main(int argc, char** argv) {
-  const paraleon::bench::ObsCli cli =
-      paraleon::bench::parse_obs_cli(argc, argv);
-  argc = paraleon::bench::strip_obs_cli(argc, argv);
+  paraleon::bench::ObsCli cli;
+  argc = paraleon::bench::strip_obs_cli(argc, argv, &cli);
+  if (!paraleon::bench::honours_flags(cli, 0, argv[0])) return 2;
   std::vector<char*> args(argv, argv + argc);
   std::string filter =
       "--benchmark_filter=BM_EventQueueScheduleRun|BM_ElasticSketchInsert/"
@@ -223,13 +223,19 @@ int main(int argc, char** argv) {
   if (cli.tiny) args.push_back(filter.data());
   int bargc = static_cast<int>(args.size());
   benchmark::Initialize(&bargc, args.data());
-  if (benchmark::ReportUnrecognizedArguments(bargc, args.data())) return 1;
+  if (benchmark::ReportUnrecognizedArguments(bargc, args.data())) {
+    std::fprintf(stderr,
+                 "usage: %s [--tiny] [--perf] [--perf-out FILE] "
+                 "[--benchmark_* ...]\n",
+                 argv[0]);
+    return 2;
+  }
 
   // No fabric is simulated here; the note documents the reference config
-  // the component costs feed into (paper_fabric is what the experiment
-  // benches run).
-  const paraleon::bench::ExperimentConfig ref = paraleon::bench::paper_fabric(
-      paraleon::bench::Scheme::kParaleon, /*seed=*/1);
+  // the component costs feed into: the fig8 influx scenario's fabric.
+  const paraleon::bench::ExperimentConfig ref =
+      paraleon::scenario::to_experiment_config(
+          paraleon::bench::load_bench_scenario(cli, "fig8_influx.json"));
   std::printf("# bench_micro_components: Table IV component costs\n");
   std::printf("# %s\n",
               paraleon::bench::scaling_note(

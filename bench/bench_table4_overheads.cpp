@@ -4,8 +4,12 @@
 // switch control-plane memory 9.5 MB, and per-interval data transfers of
 // 520 B (switch->controller), 12 B (RNIC->controller), 76 B
 // (controller->devices). We measure our implementation's equivalents on a
-// live tuning run.
+// live tuning run: scenarios/table4_overheads.json, a one-cell grid whose
+// controller overheads are read in on_cell.
+#include <algorithm>
 #include <cstdio>
+#include <string>
+#include <vector>
 
 #include "bench_common.hpp"
 
@@ -13,96 +17,101 @@ using namespace paraleon;
 using namespace paraleon::bench;
 using namespace paraleon::runner;
 
-int main(int argc, char** argv) {
-  const ObsCli cli = parse_obs_cli(argc, argv);
-  const WallTimer wall;
-  print_header("Table IV: PARALEON system overheads",
-               scaling_note(paper_fabric(Scheme::kParaleon, 91),
-                            "continuous tuning (paper values from a "
-                            "32-node 400G testbed)"));
-  ExperimentConfig cfg = paper_fabric(Scheme::kParaleon, 91);
-  cfg.duration = milliseconds(300);
-  cfg.controller.episode_cooldown_mi = 5;
-  Experiment exp(cfg);
-  exp.add_poisson(fb_hadoop(exp, 0.3, milliseconds(290), 9101));
-  exp.controller()->force_trigger();
-  exp.run();
+namespace {
 
-  const auto& oh = exp.controller()->overheads();
-  const double sim_seconds = to_sec(cfg.duration);
+ObsCli g_cli;
+
+/// What the tuning run leaves behind for the table.
+struct RunFacts {
+  core::ParaleonController::Overheads oh;
+  std::uint64_t episodes = 0;
+  Time duration = 0;
+  int tors = 0;
+  int hosts = 0;
+};
+
+/// One table row: what is measured, this repo's value, the paper's.
+void row(const char* what, const std::string& ours, const char* paper) {
+  std::printf("%-34s %-18s %-18s\n", what, ours.c_str(), paper);
+}
+
+void print_table(const RunFacts& run) {
+  const auto& oh = run.oh;
   const double mi_count = static_cast<double>(oh.mi_ticks);
+  const auto bytes = [](std::int64_t b) { return static_cast<double>(b); };
 
-  std::printf("%-34s %-18s %-18s\n", "overhead", "this repo", "paper");
+  row("overhead", "this repo", "paper");
   // CPU is reported as compute time per monitor interval: the paper's
   // percentages are of a testbed controller server at a 30 ms MI; ours is
   // per 1 ms tick of this process (the comparison is per-tick work, not
   // absolute utilisation — fabric sizes and MIs differ).
-  (void)sim_seconds;
-  std::printf("%-34s %-18s %-18s\n", "controller CPU per MI tick",
-              (runner::fmt(1e3 * oh.controller_cpu_seconds / mi_count, 3) +
-               " ms")
-                  .c_str(),
-              "3.2% util");
-  // Switch control plane: per-agent CPU + memory. Use the busiest agent.
-  double agent_cpu = 0.0;
-  std::size_t agent_mem = 0;
-  // Agents live inside the experiment; approximate via the controller's
-  // registered agents through the sketch memory + classifier entries.
-  // (Exposed through Experiment would be cleaner; the dominant term is the
-  // classifier, measured below via a standalone probe.)
+  row("controller CPU per MI tick",
+      fmt(1e3 * oh.controller_cpu_seconds / mi_count, 3) + " ms",
+      "3.2% util");
+  // Switch control plane: the dominant per-agent term is the ternary
+  // classifier, measured on a standalone probe of 10k flows.
   core::TernaryClassifier probe;
   std::vector<sketch::HeavyRecord> recs;
   for (std::uint64_t f = 0; f < 10000; ++f) recs.push_back({f, 2048});
-  const auto t0 = std::chrono::steady_clock::now();
+  const WallTimer agent_cpu;
   probe.advance(recs);
-  agent_cpu =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-          .count();
-  agent_mem = probe.memory_bytes();
-  std::printf("%-34s %-18s %-18s\n",
-              "switch ctrl-plane CPU /10k flows",
-              (runner::fmt(1e3 * agent_cpu, 3) + " ms").c_str(),
-              "20.3% util");
-  std::printf("%-34s %-18s %-18s\n", "switch ctrl-plane memory",
-              (runner::fmt(static_cast<double>(agent_mem) / 1e6, 2) + " MB")
-                  .c_str(),
-              "9.5 MB");
+  row("switch ctrl-plane CPU /10k flows",
+      fmt(1e3 * agent_cpu.seconds(), 3) + " ms", "20.3% util");
+  row("switch ctrl-plane memory",
+      fmt(static_cast<double>(probe.memory_bytes()) / 1e6, 2) + " MB",
+      "9.5 MB");
   sketch::ElasticSketch es{sketch::ElasticSketchConfig{}};
-  std::printf("%-34s %-18s %-18s\n", "data-plane sketch SRAM",
-              (runner::fmt(static_cast<double>(es.memory_bytes()) / 1e6, 2) +
-               " MB")
-                  .c_str(),
-              "(Elastic Sketch)");
-  std::printf("%-34s %-18s %-18s\n", "switch->controller per MI",
-              (runner::fmt(static_cast<double>(oh.switch_to_controller_bytes) /
-                               (mi_count * 8 /*ToRs*/),
-                           0) +
-               " B")
-                  .c_str(),
-              "520 B");
-  const double tuning_mi = std::max(
-      1.0, static_cast<double>(oh.rnic_to_controller_bytes) / (12.0 * 64));
-  std::printf("%-34s %-18s %-18s\n", "RNIC->controller per MI (tuning)",
-              (runner::fmt(static_cast<double>(oh.rnic_to_controller_bytes) /
-                               (tuning_mi * 64),
-                           0) +
-               " B")
-                  .c_str(),
-              "12 B");
-  std::printf("%-34s %-18s %-18s\n", "controller->device per dispatch",
-              "76 B", "76 B");
+  row("data-plane sketch SRAM",
+      fmt(static_cast<double>(es.memory_bytes()) / 1e6, 2) + " MB",
+      "(Elastic Sketch)");
+  row("switch->controller per MI",
+      fmt(bytes(oh.switch_to_controller_bytes) / (mi_count * run.tors), 0) +
+          " B",
+      "520 B");
+  const double tuning_mi =
+      std::max(1.0, bytes(oh.rnic_to_controller_bytes) / (12.0 * run.hosts));
+  row("RNIC->controller per MI (tuning)",
+      fmt(bytes(oh.rnic_to_controller_bytes) / (tuning_mi * run.hosts), 0) +
+          " B",
+      "12 B");
+  row("controller->device per dispatch", "76 B", "76 B");
   std::printf("\nTotals over the %.0f ms run: switch->ctrl %lld B, "
               "rnic->ctrl %lld B, ctrl->devices %lld B, episodes %llu\n",
-              to_ms(cfg.duration),
+              to_ms(run.duration),
               static_cast<long long>(oh.switch_to_controller_bytes),
               static_cast<long long>(oh.rnic_to_controller_bytes),
               static_cast<long long>(oh.controller_to_devices_bytes),
-              static_cast<unsigned long long>(exp.controller()->episodes()));
-  TrendReport trend("table4_overheads");
-  trend.add("switch_to_controller_bytes",
-            static_cast<double>(oh.switch_to_controller_bytes), "B");
-  trend.add("controller_to_devices_bytes",
-            static_cast<double>(oh.controller_to_devices_bytes), "B");
-  trend.add("wall_seconds", wall.seconds(), "s");
-  return write_trend(cli, trend) ? 0 : 2;
+              static_cast<unsigned long long>(run.episodes));
+}
+
+int run(TrendReport& trend) {
+  const scenario::Scenario sc =
+      load_bench_scenario(g_cli, "table4_overheads.json");
+  print_header("Table IV: PARALEON system overheads",
+               scaling_note(scenario::to_experiment_config(sc),
+                            "continuous tuning (paper values from a "
+                            "32-node 400G testbed)"));
+  RunFacts facts;
+  scenario::GridOptions opts;
+  opts.on_cell = [&facts](const scenario::GridCell&, Experiment& exp) {
+    facts = {exp.controller()->overheads(), exp.controller()->episodes(),
+             exp.config().duration, exp.config().clos.n_tor,
+             exp.topology().host_count()};
+  };
+  const auto report = [&facts, &trend](const scenario::GridOutcome&) {
+    print_table(facts);
+    trend.add("switch_to_controller_bytes",
+              static_cast<double>(facts.oh.switch_to_controller_bytes), "B");
+    trend.add("controller_to_devices_bytes",
+              static_cast<double>(facts.oh.controller_to_devices_bytes), "B");
+    return 0;
+  };
+  return run_bench_grid(g_cli, sc, std::move(opts), report, g_cli.grid_out);
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return bench_main(argc, argv, kGridCheck | kGridOut, &g_cli,
+                    "table4_overheads", "", run);
 }

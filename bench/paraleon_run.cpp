@@ -12,9 +12,13 @@
 // (<name>.grid.timeline.json); --grid-check re-runs the grid serially and
 // byte-compares the deterministic half, and --perf-out writes a
 // paraleon.bench.v1 document with the grid's wall time and per-cell
-// metric values. A seed sweep is a grid with a `seed` axis.
+// metric values. A seed sweep is a grid with a `seed` axis. --grid-out or
+// --grid-check run a sweep-less scenario as a one-cell grid.
 // Per-run artifacts (--trace/--flight) are rejected in grid mode: cells
 // run concurrently and would collide on the output files.
+//
+// Table II is `paraleon_run scenarios/table2_alltoall_presets.json`: its
+// grid prints the Default/Expert algbw per message size.
 #include <cstdio>
 #include <cstring>
 #include <string>
@@ -29,17 +33,6 @@ using namespace paraleon::runner;
 namespace {
 
 ObsCli g_cli;
-
-int usage(const char* argv0) {
-  std::fprintf(
-      stderr,
-      "usage: %s SCENARIO.json [--tiny] [--jobs N] [--obs-out DIR]\n"
-      "       [--trace] [--flight] [--perf] [--perf-out FILE]\n"
-      "       [--grid-out FILE] [--grid-check]\n"
-      "See docs/SCENARIOS.md for the scenario schema and grid semantics.\n",
-      argv0);
-  return 2;
-}
 
 int run_single(const scenario::Scenario& sc) {
   ExperimentConfig cfg = scenario::to_experiment_config(sc);
@@ -83,62 +76,64 @@ int run_grid_mode(const scenario::Scenario& sc) {
                  "the interesting cell as its own sweep-less scenario.\n");
     return 2;
   }
-  obs::PoolTelemetry pool;
-  scenario::GridOptions opts;
-  opts.jobs = g_cli.jobs;
-  opts.on_config = [](const scenario::GridCell&, ExperimentConfig& cfg) {
-    apply_obs_cli(g_cli, cfg);
-  };
-  opts.telemetry = &pool;
-
   print_header("scenario grid: " + sc.name,
                scaling_note(scenario::to_experiment_config(sc),
                             sc.description.empty() ? "scenario grid"
                                                    : sc.description));
-  const WallTimer wall;
-  scenario::GridOutcome grid = scenario::run_grid(sc, opts);
-  const double grid_seconds = wall.seconds();
-  grid.set_wall_seconds(grid_seconds);
+  const auto report = [&sc](const scenario::GridOutcome& grid) {
+    std::printf("%-5s %-44s %14s %18s\n", "cell", "coords",
+                sc.metric.name.c_str(), "digest");
+    for (std::size_t i = 0; i < grid.results().size(); ++i) {
+      const scenario::CellResult& r = grid.results()[i];
+      std::printf("%-5zu %-44s %14.4f %18llx\n", r.index,
+                  grid.cells()[i].coords_label().c_str(), r.value,
+                  static_cast<unsigned long long>(r.digest));
+    }
+    std::printf("# grid: %zu cells in %.2fs wall (jobs=%d)\n",
+                grid.results().size(), grid.wall_seconds(), g_cli.jobs);
 
-  std::printf("%-5s %-44s %14s %18s\n", "cell", "coords",
-              sc.metric.name.c_str(), "digest");
-  for (std::size_t i = 0; i < grid.results().size(); ++i) {
-    const scenario::CellResult& r = grid.results()[i];
-    std::printf("%-5zu %-44s %14.4f %18llx\n", r.index,
-                grid.cells()[i].coords_label().c_str(), r.value,
-                static_cast<unsigned long long>(r.digest));
-  }
-  std::printf("# grid: %zu cells in %.2fs wall (jobs=%d)\n",
-              grid.results().size(), grid_seconds, g_cli.jobs);
-
-  TrendReport trend(sc.name);
-  trend.add("grid_wall_seconds", grid_seconds, "s");
-  trend.add("grid_cells", static_cast<double>(grid.results().size()),
-            "cells");
-  for (const auto& r : grid.results()) {
-    trend.add("cell" + std::to_string(r.index) + "_" + sc.metric.name,
-              r.value);
-  }
-  if (!write_trend(g_cli, trend)) return 2;
-
+    TrendReport trend(sc.name);
+    trend.add("grid_wall_seconds", grid.wall_seconds(), "s");
+    trend.add("grid_cells", static_cast<double>(grid.results().size()),
+              "cells");
+    for (const auto& r : grid.results()) {
+      trend.add("cell" + std::to_string(r.index) + "_" + sc.metric.name,
+                r.value);
+    }
+    return write_trend(g_cli, trend) ? 0 : 2;
+  };
   const std::string grid_path = g_cli.grid_out.empty()
                                     ? g_cli.out_dir + "/" + sc.name +
                                           ".grid.json"
                                     : g_cli.grid_out;
-  return finish_grid(g_cli, sc, opts, grid, grid_path);
+  return run_bench_grid(g_cli, sc, {}, report, grid_path);
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  g_cli = parse_obs_cli(argc, argv);
-  const int rest = strip_obs_cli(argc, argv);
-  if (rest != 2 || argv[1][0] == '-') return usage(argv[0]);
+  const int rest = strip_obs_cli(argc, argv, &g_cli);
+  if (rest != 2 || argv[1][0] == '-') {
+    // The stray argument: a leading flag, or whatever follows the file.
+    const char* stray =
+        rest < 2 ? nullptr : argv[1][0] == '-' ? argv[1] : argv[2];
+    return obs_usage(argv[0], stray, " SCENARIO.json");
+  }
   const std::string path = argv[1];
   try {
+    if (!g_cli.replay_bundle.empty()) {
+      std::fprintf(stderr,
+                   "paraleon_run: --replay-flight replays a fig8 bundle; run "
+                   "it with bench_fig8_influx.\n");
+      return 2;
+    }
     const scenario::Scenario sc =
         scenario::load_scenario_file(path, g_cli.tiny);
-    return sc.sweep.empty() ? run_single(sc) : run_grid_mode(sc);
+    // --grid-out/--grid-check run a sweep-less scenario as a one-cell
+    // grid, so every committed file goes through the same CI loop.
+    const bool grid = !sc.sweep.empty() || g_cli.grid_check ||
+                      !g_cli.grid_out.empty();
+    return grid ? run_grid_mode(sc) : run_single(sc);
   } catch (const scenario::ScenarioError& e) {
     std::fprintf(stderr, "%s\n", e.what());
     return 2;

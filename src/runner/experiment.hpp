@@ -97,6 +97,11 @@ class Experiment {
   /// discipline add_poisson/add_alltoall apply internally.
   workload::Workload& add_workload(std::unique_ptr<workload::Workload> w);
 
+  /// Every installed workload, in install order.
+  const std::vector<std::unique_ptr<workload::Workload>>& workloads() const {
+    return workloads_;
+  }
+
   /// The flow-id base the next added workload must use: bases start at
   /// 1<<32 and advance per workload, so concurrent components and
   /// inject_flow ids never clash.

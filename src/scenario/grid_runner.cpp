@@ -43,6 +43,27 @@ Json trace_event(const std::string& name, const char* ph, std::int64_t tid) {
   return ev;
 }
 
+/// A coordinate value on one line: objects and arrays as compact JSON
+/// (dump() spreads them over several lines).
+std::string one_line(const Json& v) {
+  std::string out;
+  if (v.is_object()) {
+    for (const auto& [key, member] : v.members()) {
+      out += out.empty() ? "{" : ",";
+      out += Json::make_string(key).dump() + ":" + one_line(member);
+    }
+    return out.empty() ? "{}" : out + "}";
+  }
+  if (v.is_array()) {
+    for (const Json& item : v.items()) {
+      out += out.empty() ? "[" : ",";
+      out += one_line(item);
+    }
+    return out.empty() ? "[]" : out + "]";
+  }
+  return v.dump();
+}
+
 Json aggregate_json(const runner::FleetAggregate& a) {
   Json j = Json::make_object();
   j.set("min", Json::make_number(a.min));
@@ -60,7 +81,7 @@ std::string GridCell::coords_label() const {
   for (const auto& [key, value] : coords) {
     if (!out.empty()) out += " ";
     out += key + "=";
-    out += value.is_string() ? value.as_string() : value.dump();
+    out += value.is_string() ? value.as_string() : one_line(value);
   }
   return out.empty() ? std::string("-") : out;
 }

@@ -39,7 +39,8 @@ struct GridCell {
   Scenario scenario;
 
   /// The coordinates as "key=value key=value" ("-" when there are
-  /// none), string values unquoted.
+  /// none), string values unquoted, object and array values as one-line
+  /// compact JSON.
   std::string coords_label() const;
 };
 

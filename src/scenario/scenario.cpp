@@ -5,6 +5,7 @@
 #include <sstream>
 
 #include "dcqcn/params.hpp"
+#include "workload/alltoall_workload.hpp"
 #include "workload/size_distribution.hpp"
 
 namespace paraleon::scenario {
@@ -280,7 +281,7 @@ MetricSpec parse_metric(const Json& obj) {
   m.name = get_string(obj, "metric", "name", m.name);
   const std::vector<std::string> metrics = {
       "tput_mean_gbps", "rtt_mean_us", "fct_p99_slowdown",
-      "fct_mean_slowdown", "flows_finished"};
+      "fct_mean_slowdown", "flows_finished", "alltoall_algbw_gbs"};
   if (std::find(metrics.begin(), metrics.end(), m.name) == metrics.end()) {
     unknown_key("metric.name", m.name, metrics);
   }
@@ -693,6 +694,35 @@ void apply_overlay(Json& doc, const Json& overlay,
   }
 }
 
+/// The shared paper-default block (Table III controller, SA schedule,
+/// agent thresholds) applied on top of an already-shaped clos config.
+void apply_paper_defaults(runner::ExperimentConfig& cfg) {
+  cfg.controller.mi = milliseconds(1);       // Table III
+  cfg.controller.kl_theta = 0.01;            // Table III
+  cfg.controller.weights = {0.2, 0.5, 0.3};  // Table III
+  // SA episode sized for the scaled fabric: 5 iters/temp, 0.7 cooling,
+  // 2 MIs per candidate (~70 ms per episode vs the paper's 280 ms with
+  // Table III's 20/0.85 — episode shape preserved, budget reduced).
+  cfg.controller.sa.total_iter_num = 5;
+  cfg.controller.sa.cooling_rate = 0.7;
+  cfg.controller.sa.initial_temp = 90;
+  cfg.controller.sa.final_temp = 10;
+  cfg.controller.sa.eta = 0.8;  // Table III
+  cfg.controller.eval_mi_per_candidate = 2;
+  // The paper's tau = 1MB elephant threshold is referenced to 100G links
+  // (~8% of line rate per 1 ms interval); keep the same relative meaning
+  // on the scaled fabric.
+  cfg.agent.ternary.tau_bytes = static_cast<std::int64_t>(
+      (1 << 20) * (cfg.clos.host_link / gbps(100)));
+  // Keep flows tracked across collective compute (OFF) gaps so the FSD
+  // stays stable over an ON-OFF workload (§IV-B1).
+  cfg.agent.ternary.evict_after_idle = 25;
+  cfg.controller.episode_cooldown_mi = 30;
+  // Ratchet mode: keep re-tuning from the best-known setting; the
+  // post-episode check rolls back regressions.
+  cfg.controller.steady_retrigger_mi = 40;
+}
+
 }  // namespace
 
 std::string suggest_key(const std::string& bad,
@@ -805,6 +835,17 @@ Scenario parse_scenario(const Json& doc, const std::string& where,
   if (const Json* metric = work.find("metric")) {
     sc.metric = parse_metric(*metric);
   }
+  if (sc.metric.name == "alltoall_algbw_gbs") {
+    const auto alltoalls = std::count_if(
+        sc.workload.begin(), sc.workload.end(), [](const auto& c) {
+          return c.kind == WorkloadComponent::Kind::kAlltoall;
+        });
+    if (alltoalls != 1) {
+      throw ScenarioError(
+          "metric.name: alltoall_algbw_gbs needs exactly one alltoall "
+          "component, the scenario has " + std::to_string(alltoalls));
+    }
+  }
   if (const Json* sweep = work.find("sweep")) {
     sc.sweep = parse_sweep(*sweep);
   }
@@ -836,33 +877,6 @@ Scenario load_scenario_file(const std::string& path, bool tiny) {
   std::ostringstream buf;
   buf << f.rdbuf();
   return parse_scenario_text(buf.str(), path, tiny);
-}
-
-void apply_paper_defaults(runner::ExperimentConfig& cfg) {
-  cfg.controller.mi = milliseconds(1);       // Table III
-  cfg.controller.kl_theta = 0.01;            // Table III
-  cfg.controller.weights = {0.2, 0.5, 0.3};  // Table III
-  // SA episode sized for the scaled fabric: 5 iters/temp, 0.7 cooling,
-  // 2 MIs per candidate (~70 ms per episode vs the paper's 280 ms with
-  // Table III's 20/0.85 — episode shape preserved, budget reduced).
-  cfg.controller.sa.total_iter_num = 5;
-  cfg.controller.sa.cooling_rate = 0.7;
-  cfg.controller.sa.initial_temp = 90;
-  cfg.controller.sa.final_temp = 10;
-  cfg.controller.sa.eta = 0.8;  // Table III
-  cfg.controller.eval_mi_per_candidate = 2;
-  // The paper's tau = 1MB elephant threshold is referenced to 100G links
-  // (~8% of line rate per 1 ms interval); keep the same relative meaning
-  // on the scaled fabric.
-  cfg.agent.ternary.tau_bytes = static_cast<std::int64_t>(
-      (1 << 20) * (cfg.clos.host_link / gbps(100)));
-  // Keep flows tracked across collective compute (OFF) gaps so the FSD
-  // stays stable over an ON-OFF workload (§IV-B1).
-  cfg.agent.ternary.evict_after_idle = 25;
-  cfg.controller.episode_cooldown_mi = 30;
-  // Ratchet mode: keep re-tuning from the best-known setting; the
-  // post-episode check rolls back regressions.
-  cfg.controller.steady_retrigger_mi = 40;
 }
 
 runner::ExperimentConfig to_experiment_config(const Scenario& sc) {
@@ -938,6 +952,19 @@ double evaluate_metric(const Scenario& sc, runner::Experiment& exp) {
   }
   if (sc.metric.name == "flows_finished") {
     return static_cast<double>(exp.fct().finished());
+  }
+  if (sc.metric.name == "alltoall_algbw_gbs") {
+    // Parsing guarantees exactly one alltoall component.
+    for (const auto& w : exp.workloads()) {
+      const auto* a2a =
+          dynamic_cast<const workload::AlltoallWorkload*>(w.get());
+      if (a2a == nullptr) continue;
+      const int rounds = a2a->rounds_completed();
+      if (rounds == 0) return 0.0;
+      double sum = 0.0;
+      for (int r = 0; r < rounds; ++r) sum += a2a->round_algbw_gbs(r);
+      return sum / rounds;
+    }
   }
   throw ScenarioError("metric.name: unknown metric \"" + sc.metric.name +
                       "\"");

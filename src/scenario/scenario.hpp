@@ -11,7 +11,7 @@
 // fails the same way.
 //
 // Golden contract: the committed scenario files are the only description
-// of the fig8/fig13/multi-tenant experiments, and tests/
+// of every bench experiment except fig6's, and tests/
 // scenario_golden_test.cpp pins their --tiny cells' run_digests, so a
 // change to this mapping that moves a digest fails tier-1.
 #pragma once
@@ -114,7 +114,9 @@ struct SchemeSpec {
 
 struct MetricSpec {
   /// tput_mean_gbps | rtt_mean_us | fct_p99_slowdown | fct_mean_slowdown
-  /// | flows_finished.
+  /// | flows_finished | alltoall_algbw_gbs (mean per-round NCCL algbw of
+  /// the scenario's single alltoall component; parsing rejects a scenario
+  /// with zero or several).
   std::string name = "tput_mean_gbps";
   double from_ms = 0.0;
   /// < 0 = end of the run.
@@ -179,13 +181,6 @@ const std::vector<std::string>& param_override_keys();
 // ---------------------------------------------------------------------
 // Mapping onto the experiment harness
 // ---------------------------------------------------------------------
-
-/// The shared paper-default block (Table III controller, SA schedule,
-/// agent thresholds) applied on top of an already-shaped clos config —
-/// the single source both bench::paper_fabric and scenarios route
-/// through, so a scenario spelling out a bench fabric builds the same
-/// config as the bench.
-void apply_paper_defaults(runner::ExperimentConfig& cfg);
 
 runner::Scheme scheme_from_name(const std::string& name);
 

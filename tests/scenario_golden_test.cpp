@@ -74,6 +74,78 @@ TEST(ScenarioGolden, MixedMultitenant) {
                                            {7, 0x020f03e21c84e643}});
 }
 
+// The per-figure packs: a few cheap --tiny cells each, so every file's
+// mapping is pinned while each test stays under ~2 s.
+TEST(ScenarioGolden, Table2AlltoallPresets) {
+  expect_golden("table2_alltoall_presets.json",
+                {{0, 0xa7625e77017f7371},    // default x 64 KB
+                 {5, 0x88ca38563c4cf799}});  // expert x 64 KB
+}
+
+TEST(ScenarioGolden, Fig5SingleParam) {
+  expect_golden("fig5_single_param.json",
+                {{0, 0x27d9afb58df56128},    // rate_reduce_monitor_period 1
+                 {5, 0x71bce8af2aa8bfd3},    // rpg_time_reset 30
+                 {14, 0x5b59f6e7ff7add9e}});  // kmax 640
+}
+
+TEST(ScenarioGolden, Fig7FctFbHadoop) {
+  expect_golden("fig7_fct_fb_hadoop.json", {{4, 0x6b97c178a44511c7}});
+}
+
+TEST(ScenarioGolden, Fig7FctAlltoall) {
+  expect_golden("fig7_fct_alltoall.json", {{4, 0x31e110c4cd7540d3}});
+}
+
+TEST(ScenarioGolden, Fig9Pretraining) {
+  expect_golden("fig9_pretrain_alltoall.json", {{0, 0xa75addfb6ef93234}});
+  expect_golden("fig9_pretrain_fb_hadoop.json", {{0, 0xa96c75bb6bff2f77}});
+}
+
+TEST(ScenarioGolden, Fig9Influx) {
+  expect_golden("fig9_influx.json", {{2, 0x044b57081f29f2c3}});
+}
+
+TEST(ScenarioGolden, Fig10Accuracy) {
+  expect_golden("fig10_accuracy.json",
+                {{0, 0x27ca182cc5f64e05},    // netflow x 0.2
+                 {6, 0x1ed60a5e3a735841}});  // paraleon x 0.2
+}
+
+TEST(ScenarioGolden, Fig10Fct) {
+  expect_golden("fig10_fct.json", {{0, 0xc4d0ca6fb3a78b22}});  // no_fsd
+}
+
+TEST(ScenarioGolden, Fig11Interval) {
+  expect_golden("fig11_interval.json",
+                {{0, 0x2e60cdb0fae92d42},    // 500 us x naive sketch
+                 {1, 0xcabb531ae5e04f2b}});  // 500 us x paraleon
+}
+
+TEST(ScenarioGolden, Fig12SaAblation) {
+  expect_golden("fig12_fb_hadoop.json", {{0, 0xe26d389d5fb87122},
+                                         {1, 0x7a7d5f0180063b37}});
+  expect_golden("fig12_llm.json", {{0, 0x8a22c3d4c3b82ef6},
+                                   {1, 0x1b756808cbd1a12c}});
+  expect_golden("fig12_shadow_window.json", {{0, 0xfba336c7d7d12eba}});
+}
+
+TEST(ScenarioGolden, Fig14RpcInflux) {
+  expect_golden("fig14_rpc_influx.json", {{0, 0x42b0f66c91494c82},
+                                          {1, 0xd54dea327824de9a},
+                                          {2, 0x82458bae07225294}});
+}
+
+TEST(ScenarioGolden, Table4Overheads) {
+  expect_golden("table4_overheads.json", {{0, 0x629679dac36ff963}});
+}
+
+TEST(ScenarioGolden, AblationEngineering) {
+  expect_golden("ablation_engineering.json",
+                {{0, 0xec4dbd9b1ed20b3f},    // plain_alg1
+                 {4, 0x3892c45283bf1489}});  // full(+ratchet)
+}
+
 TEST(MixedMultitenant, ExpandsToTheThreeAxisCrossProduct) {
   const Scenario sc = load_scenario_file(
       pack_path("mixed_multitenant.json"), /*tiny=*/true);

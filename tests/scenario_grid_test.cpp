@@ -107,6 +107,60 @@ TEST(ExpandGrid, SchemeParamsAxisPatchesEachCell) {
   EXPECT_THROW(expand_grid(sc), ScenarioError);
 }
 
+TEST(ExpandGrid, ObjectValuedParamsAxisReplacesParamsAndLaterAxisPatches) {
+  const Scenario sc = parse_scenario_text(R"({
+    "name": "variants",
+    "scheme": {"name": "paraleon",
+               "params": {"controller.sa.total_iter_num": 9,
+                          "controller.kl_theta": 0.5}},
+    "workload": [{"name": "rpc", "kind": "poisson"}],
+    "sweep": {"axes": [
+      {"key": "scheme.params", "values": [
+        {"controller.sa.total_iter_num": 2},
+        {"controller.sa.total_iter_num": 3,
+         "controller.sa.cooling_rate": 0.5}
+      ]},
+      {"key": "scheme.params.controller.mi_us", "values": [500, 2000]}
+    ]}
+  })");
+  const std::vector<GridCell> cells = expand_grid(sc);
+  ASSERT_EQ(cells.size(), 4u);
+  const runner::ExperimentConfig first = to_experiment_config(
+      cells[0].scenario);
+  EXPECT_EQ(first.controller.sa.total_iter_num, 2);
+  // The variant replaced the whole params object: kl_theta is back at
+  // the paper default, not the base file's 0.5.
+  EXPECT_DOUBLE_EQ(first.controller.kl_theta, 0.01);
+  EXPECT_EQ(first.controller.mi, microseconds(500));
+  const runner::ExperimentConfig last = to_experiment_config(
+      cells[3].scenario);
+  EXPECT_EQ(last.controller.sa.total_iter_num, 3);
+  EXPECT_DOUBLE_EQ(last.controller.sa.cooling_rate, 0.5);
+  EXPECT_EQ(last.controller.mi, microseconds(2000));
+}
+
+TEST(GridCell, CoordsLabelRendersObjectsAndArraysOnOneLine) {
+  const Scenario sc = parse_scenario_text(R"({
+    "name": "labels",
+    "scheme": {"name": "custom"},
+    "workload": [{"name": "rpc", "kind": "poisson"}],
+    "sweep": {"axes": [
+      {"key": "scheme.params", "values": [
+        {"dcqcn.kmax_kb": 80, "dcqcn.kmin_kb": 20}
+      ]},
+      {"key": "workload.rpc.hosts", "values": [[0, 1], [2, 3]]}
+    ]}
+  })");
+  const std::vector<GridCell> cells = expand_grid(sc);
+  ASSERT_EQ(cells.size(), 2u);
+  EXPECT_EQ(cells[1].coords_label(),
+            R"(scheme.params={"dcqcn.kmax_kb":80,"dcqcn.kmin_kb":20} )"
+            R"(workload.rpc.hosts=[2,3])");
+  for (const GridCell& cell : cells) {
+    EXPECT_EQ(cell.coords_label().find('\n'), std::string::npos);
+  }
+}
+
 TEST(RunGrid, DeterministicHalfIsJobsInvariant) {
   const Scenario sc = grid_scenario();
   GridOptions serial;

@@ -151,6 +151,29 @@ TEST(ScenarioStrict, UnknownMetricNameSuggests) {
   EXPECT_TRUE(contains(msg, "did you mean \"tput_mean_gbps\"")) << msg;
 }
 
+TEST(AlltoallAlgbwMetric, NeedsExactlyOneAlltoallComponent) {
+  const std::string metric = R"("metric": {"name": "alltoall_algbw_gbs"})";
+  // Zero alltoall components: the poisson-only minimal scenario.
+  EXPECT_TRUE(contains(error_of([&] {
+                         parse_scenario_text(minimal(metric));
+                       }),
+                       "exactly one alltoall component"));
+  const std::string two = R"({
+    "name": "t",
+    "workload": [
+      {"name": "a", "kind": "alltoall", "workers": 4},
+      {"name": "b", "kind": "alltoall", "workers": 4}
+    ],
+    )" + metric + "}";
+  EXPECT_TRUE(contains(error_of([&] { parse_scenario_text(two); }),
+                       "the scenario has 2"));
+  const Scenario one = parse_scenario_text(R"({
+    "name": "t",
+    "workload": [{"name": "a", "kind": "alltoall", "workers": 4}],
+    )" + metric + "}");
+  EXPECT_EQ(one.metric.name, "alltoall_algbw_gbs");
+}
+
 TEST(ScenarioStrict, UnknownComponentKindSuggests) {
   const std::string msg = error_of([] {
     parse_scenario_text(R"({
